@@ -720,6 +720,21 @@ let micro_tests () =
                ~stop:((i * 1000) + 500) ~owner:(i mod 16)
            done))
   in
+  (* The common case of a launch rewriting what its device already
+     owns: no split, delete or merge, only the op count. *)
+  let tracker_write_owned =
+    let t = Gpu_runtime.Tracker.create ~len:1_000_000 ~initial_owner:0 in
+    for i = 0 to 63 do
+      Gpu_runtime.Tracker.write t ~start:(i * 1000) ~stop:((i * 1000) + 500)
+        ~owner:(1 + (i mod 16))
+    done;
+    Test.make ~name:"tracker.write owned x64"
+      (Staged.stage (fun () ->
+           for i = 0 to 63 do
+             Gpu_runtime.Tracker.write t ~start:((i * 1000) + 100)
+               ~stop:((i * 1000) + 400) ~owner:(1 + (i mod 16))
+           done))
+  in
   let tracker_query =
     let t = Gpu_runtime.Tracker.create ~len:1_000_000 ~initial_owner:0 in
     for i = 0 to 255 do
@@ -772,12 +787,32 @@ let micro_tests () =
     Test.make ~name:"enumerator.eval (hotspot read)"
       (Staged.stage (fun () -> ignore (Mekong.Codegen.ranges enum ~bindings)))
   in
+  (* Back-to-back uploads to 16 devices: the flat bus is the
+     bottleneck, so every admission lands at the end of the previous
+     one and the link's busy list is one long run. *)
+  let admission =
+    Test.make ~name:"link admission x256 (saturated bus)"
+      (Staged.stage (fun () ->
+           let m =
+             Gpusim.Machine.create (Gpusim.Config.k80_box ~n_devices:16 ())
+           in
+           let bufs =
+             Array.init 16 (fun d ->
+                 Gpusim.Machine.alloc ~charge:false m ~device:d ~len:65536)
+           in
+           for i = 0 to 255 do
+             ignore
+               (Gpusim.Machine.h2d_async ~deps:[] m ~src:[||] ~src_off:0
+                  ~dst:bufs.(i mod 16) ~dst_off:0 ~len:65536)
+           done))
+  in
   let analysis =
     Test.make ~name:"access.analyze (hotspot)"
       (Staged.stage (fun () ->
            ignore (Mekong.Access.analyze Apps.Hotspot.kernel)))
   in
-  [ tracker_write; tracker_query; btree_ops; enum_eval; analysis ]
+  [ tracker_write; tracker_write_owned; tracker_query; btree_ops; admission;
+    enum_eval; analysis ]
 
 let run_micro () =
   let open Bechamel in

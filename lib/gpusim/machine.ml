@@ -561,10 +561,23 @@ let earliest_free busy ~from ~dur =
   in
   go from busy
 
-let rec insert_interval ((s, _) as ivl) = function
-  | [] -> [ ivl ]
-  | (s', _) :: _ as l when s <= s' -> ivl :: l
-  | hd :: rest -> hd :: insert_interval ivl rest
+(* Insert [ivl] into a sorted, disjoint busy list, merging it with the
+   neighbours it touches end-to-start, so a saturated link keeps one
+   interval per busy run instead of one per transfer.  For admissions
+   of positive length the merged list gives exactly the first-fit
+   starts of the unmerged one: such an admission can never start at
+   the shared end point of two touching intervals.  Zero-length
+   intervals are kept as they are.  The walk costs one comparison per
+   interval passed, like a plain sorted insert. *)
+let rec insert_interval ((s, e) as ivl) = function
+  | ((_, e') as hd) :: rest when e' < s -> hd :: insert_interval ivl rest
+  | ((s', e') as hd) :: rest when e' = s && s' < e' ->
+    if s < e then merge_next (s', e) rest else hd :: merge_next ivl rest
+  | l -> merge_next ivl l
+
+and merge_next ((s, e) as ivl) = function
+  | (s', e') :: rest when e = s' && s < e && s' < e' -> (s, e') :: rest
+  | l -> ivl :: l
 
 (* Per-link admission: the earliest time >= [start] at which every leg
    of the route is simultaneously free for its occupancy, by TIME
@@ -577,13 +590,14 @@ let route_admit ~now ~start ~legs =
   match legs with
   | [] -> start
   | legs ->
-    List.iter
-      (fun (l, _) ->
-         match l.l_busy with
-         | (_, e) :: _ when e <= now ->
-           l.l_busy <- List.filter (fun (_, e) -> e > now) l.l_busy
-         | _ -> ())
-      legs;
+    (* Interval ends are non-decreasing, so the drained ones are a
+       prefix (a zero-length interval left inside a merged run may
+       outlive it, but it can never constrain an admission). *)
+    let rec drop = function
+      | (_, e) :: rest when e <= now -> drop rest
+      | l -> l
+    in
+    List.iter (fun (l, _) -> l.l_busy <- drop l.l_busy) legs;
     let rec fix t =
       let t' =
         List.fold_left
@@ -658,16 +672,20 @@ let transfer m ~kind ~engines ~deps ~events ~bytes ~legs ~bandwidth =
        Timeline.wait_until t start;
        ignore (Timeline.schedule t ~after:start ~duration:dur ~category:"transfer"))
     engines;
-  (* A d2h issued while the runtime is evicting under memory pressure
-     attributes to "spill", not to ordinary downloads. *)
-  let category = if m.phase = "spill" && kind = "d2h" then "spill" else kind in
-  ignore
-    (causal_add m ~label:kind ~category
-       ~resources:(List.map Timeline.name engines)
-       ~ready ~start ~finish:(start +. dur)
-       ~fixed:m.cfg.Config.transfer_latency
-       ~legs:(List.map (fun (l, occ) -> (Timeline.name l.l_tl, occ)) legs)
-       ~deps:causal_deps ~wait:"link_wait");
+  if m.causal <> None then begin
+    (* A d2h issued while the runtime is evicting under memory pressure
+       attributes to "spill", not to ordinary downloads. *)
+    let category =
+      if m.phase = "spill" && kind = "d2h" then "spill" else kind
+    in
+    ignore
+      (causal_add m ~label:kind ~category
+         ~resources:(List.map Timeline.name engines)
+         ~ready ~start ~finish:(start +. dur)
+         ~fixed:m.cfg.Config.transfer_latency
+         ~legs:(List.map (fun (l, occ) -> (Timeline.name l.l_tl, occ)) legs)
+         ~deps:causal_deps ~wait:"link_wait")
+  end;
   count_transfer m ~seconds:dur;
   (start, start +. dur)
 

@@ -263,6 +263,17 @@ val publish_metrics : ?into:Obs.Metrics.t -> t -> unit
     metrics registry under stable ["gpusim.*"] names (default:
     {!Obs.Metrics.default}). *)
 
+val earliest_free : (float * float) list -> from:float -> dur:float -> float
+(** Link admission: the earliest time [>= from] at which a link whose
+    busy intervals are [busy] (sorted by start, disjoint) is free for
+    [dur] seconds.  Exposed with {!insert_interval} for tests. *)
+
+val insert_interval :
+  float * float -> (float * float) list -> (float * float) list
+(** Add a reservation to a link's busy list, merging it with the
+    intervals it touches end-to-start; for positive-length admissions
+    {!earliest_free} then answers exactly as over the unmerged list. *)
+
 val host_timeline : t -> Timeline.t
 
 val fabric_timeline : t -> Timeline.t

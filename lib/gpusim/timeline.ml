@@ -14,11 +14,17 @@ type op = { op_start : float; op_finish : float; op_category : string }
 type t = {
   name : string;
   mutable ready : float; (* completion time of the last scheduled op *)
-  busy : (string, float) Hashtbl.t;
+  busy : (string, float ref) Hashtbl.t;
+      (* per-category accumulators; the table's fold order fixes the
+         summation order of [total_busy] *)
+  mutable slots : (string * float ref) list;
+      (* the same accumulators, found without hashing: an engine sees
+         only a handful of categories *)
   mutable ops : op Obs.Ring.t option; (* per-op log when enabled *)
 }
 
-let create name = { name; ready = 0.0; busy = Hashtbl.create 8; ops = None }
+let create name =
+  { name; ready = 0.0; busy = Hashtbl.create 8; slots = []; ops = None }
 
 let name t = t.name
 let ready t = t.ready
@@ -26,7 +32,24 @@ let ready t = t.ready
 let reset t =
   t.ready <- 0.0;
   Hashtbl.reset t.busy;
+  t.slots <- [];
   match t.ops with None -> () | Some r -> Obs.Ring.clear r
+
+(* The accumulator of [category], created on first use. *)
+let slot t category =
+  let rec find = function
+    | (c, r) :: rest -> if String.equal c category then r else find rest
+    | [] ->
+      let r = ref 0.0 in
+      Hashtbl.add t.busy category r;
+      t.slots <- (category, r) :: t.slots;
+      r
+  in
+  find t.slots
+
+let add_busy t category duration =
+  let r = slot t category in
+  r := !r +. duration
 
 (* Schedule an operation of the given duration that cannot start before
    [after].  Returns (start, finish). *)
@@ -35,8 +58,7 @@ let schedule t ~after ~duration ~category =
   let start = Float.max t.ready after in
   let finish = start +. duration in
   t.ready <- finish;
-  let old = Option.value ~default:0.0 (Hashtbl.find_opt t.busy category) in
-  Hashtbl.replace t.busy category (old +. duration);
+  add_busy t category duration;
   (match t.ops with
    | None -> ()
    | Some r ->
@@ -53,8 +75,7 @@ let schedule_at t ~start ~duration ~category =
   if duration < 0.0 then invalid_arg "Timeline.schedule_at: negative duration";
   let finish = start +. duration in
   if finish > t.ready then t.ready <- finish;
-  let old = Option.value ~default:0.0 (Hashtbl.find_opt t.busy category) in
-  Hashtbl.replace t.busy category (old +. duration);
+  add_busy t category duration;
   (match t.ops with
    | None -> ()
    | Some r ->
@@ -66,9 +87,9 @@ let schedule_at t ~start ~duration ~category =
 let wait_until t time = if time > t.ready then t.ready <- time
 
 let busy_in t category =
-  Option.value ~default:0.0 (Hashtbl.find_opt t.busy category)
+  match Hashtbl.find_opt t.busy category with Some r -> !r | None -> 0.0
 
-let total_busy t = Hashtbl.fold (fun _ v acc -> acc +. v) t.busy 0.0
+let total_busy t = Hashtbl.fold (fun _ v acc -> acc +. !v) t.busy 0.0
 
 (* Sorted, so reports and JSON artifacts do not depend on hash-table
    iteration order (which varies across OCaml versions and hash

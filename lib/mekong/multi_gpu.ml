@@ -498,6 +498,12 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     }
   in
   let gate_merges = ref 0 and gate_merged_elems = ref 0 in
+  (* The unfinished tail of the current statement, set once a
+     reducible launch has folded its accumulators into the host base:
+     from then on the launch must not run again (the re-gathered base
+     would already hold the merged values and be merged twice), so a
+     retry after a fault resumes here instead. *)
+  let pending_tail : (unit -> unit) option ref = ref None in
   (* The cache lives for one cache generation: device count, tiling and
      measurement config are fixed within it, so they need not be part
      of the key.  A permanent device loss changes the partitioning and
@@ -1182,138 +1188,155 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     (* Reducible merge: fold every partition's touched accumulator
        elements into the host base in ascending partition order, then
        scatter the result back.  Untouched elements keep the base's
-       exact bits. *)
+       exact bits.  The fold is host arithmetic and cannot fault; the
+       scatters can, so they and everything after them form the tail a
+       retry resumes ([pending_tail]), each base scattered until its
+       scatter completes once. *)
+    let unscattered = ref [] in
     if reducible <> [] then
       span "reduce_merge" (fun () ->
           Gpusim.Machine.synchronize m;
           incr gate_merges;
           List.iter
             (fun (arr, op, base) ->
-               let vb = find (List.assoc arr arg_arrays) in
-               (match (base, red_acc) with
-                | Some base, Some accs ->
-                  let combine = reduce_combine op in
-                  Array.iter
-                    (fun per_pp ->
-                       let acc, touched = List.assoc arr per_pp in
-                       Array.iteri
-                         (fun off t ->
-                            if t then begin
-                              base.(off) <- combine base.(off) acc.(off);
-                              incr gate_merged_elems
-                            end)
-                         touched)
-                    accs
-                | _ -> ());
-               let ops, () =
-                 with_tracker_ops vb (fun () ->
-                     Gpu_runtime.Vbuf.h2d ~cfg ~pool:(pool_of ()) vb
-                       ~src:base)
-               in
-               charge ~tracker_ops:ops ~ranges:0 ~dispatches:0)
+               match (base, red_acc) with
+               | Some base, Some accs ->
+                 let combine = reduce_combine op in
+                 Array.iter
+                   (fun per_pp ->
+                      let acc, touched = List.assoc arr per_pp in
+                      Array.iteri
+                        (fun off t ->
+                           if t then begin
+                             base.(off) <- combine base.(off) acc.(off);
+                             incr gate_merged_elems
+                           end)
+                        touched)
+                   accs
+               | _ -> ())
             red_bases;
-          Gpusim.Machine.synchronize m);
-    (* (4b): instrumented write-set collection (paper §11 fallback).
-       The shadow kernel runs once per partition, recording the exact
-       elements written; a dynamic check rejects cross-partition
-       write-after-write hazards, then the trackers are updated. *)
-    (match ck.ck_shadow with
-     | Some shadow when cfg.Gpu_runtime.Rconfig.patterns ->
-       span "shadow" @@ fun () ->
-       if not (Gpusim.Machine.is_functional m) then
-         invalid_arg
-           "Multi_gpu: instrumented writes require a functional machine";
-       let instrumented =
-         List.filter_map
-           (fun (a : Model.array_model) ->
-              if a.Model.write_instrumented then Some a.Model.arr else None)
-           km.Model.arrays
-       in
-       let per_array : (string, (int * (int * int) list) list ref) Hashtbl.t =
-         Hashtbl.create 4
-       in
-       List.iter (fun a -> Hashtbl.replace per_array a (ref [])) instrumented;
-       List.iter
-         (fun (pp : Launch_cache.partition_plan) ->
-            let dev = pp.Launch_cache.pp_part.Partition.device in
-            let buffer_of name =
-              Gpu_runtime.Vbuf.instance (find (List.assoc name arg_arrays))
-                dev
-            in
-            (* The collected write sets are data-dependent (that is why
-               the array needed instrumentation): they are never
-               cached, only the shadow launch's static parameters are. *)
-            let collected = ref [] in
-            charge ~tracker_ops:0 ~ranges:0 ~dispatches:1;
-            Gpusim.Machine.launch m ~device:dev
-              ~blocks:pp.Launch_cache.pp_n_blocks
-              ~ops_per_block:pp.Launch_cache.pp_shadow_cost
-              ~run:(fun () ->
-                let launch_grid = pp.Launch_cache.pp_launch_grid in
-                let scalar_args = pp.Launch_cache.pp_scalar_args in
-                let compiled, freshness =
-                  Launch_cache.find_or_compile !plan_cache
-                    {
-                      Launch_cache.ck_kernel = shadow.Kir.name;
-                      ck_grid = launch_grid;
-                      ck_block = block;
-                      ck_args = scalar_args;
-                    }
-                    ~compile:(fun () ->
-                      Kcompile.compile shadow ~grid:launch_grid ~block
-                        ~args:scalar_args)
-                in
-                (match freshness with
-                 | `Hit ->
-                   exec_stats.Kcompile.st_cache_hits <-
-                     exec_stats.Kcompile.st_cache_hits + 1
-                 | `Miss ->
-                   exec_stats.Kcompile.st_compiles <-
-                     exec_stats.Kcompile.st_compiles + 1);
-                (match compiled with
-                 | Ok _ ->
-                   exec_stats.Kcompile.st_seq <- exec_stats.Kcompile.st_seq + 1
-                 | Error _ ->
-                   exec_stats.Kcompile.st_interpreted <-
-                     exec_stats.Kcompile.st_interpreted + 1);
-                collected :=
-                  Instrument.collect_writes ~compiled:(Some compiled) ~shadow
-                    ~grid:launch_grid ~block ~args:scalar_args
-                    ~arrays:instrumented
-                    ~load:(fun a off ->
-                        (Gpusim.Buffer.data_exn (buffer_of a)).(off)));
-            List.iter
-              (fun (arr, ranges) ->
-                 let slot = Hashtbl.find per_array arr in
-                 slot := (dev, ranges) :: !slot;
-                 charge ~tracker_ops:0 ~ranges:(List.length ranges)
-                   ~dispatches:0)
-              !collected)
-         partitions;
-       List.iter
-         (fun arr ->
-            let per_dev = !(Hashtbl.find per_array arr) in
-            Instrument.check_disjoint ~arr per_dev;
-            let bufname = List.assoc arr arg_arrays in
-            let vb = find bufname in
-            List.iter
-              (fun (dev, ranges) ->
-                 let ops, () =
-                   with_tracker_ops vb (fun () ->
-                       Gpu_runtime.Vbuf.update_for_write ~cfg vb ~dev ~ranges)
-                 in
-                 charge ~tracker_ops:ops ~ranges:0 ~dispatches:0)
-              per_dev)
-         instrumented
-     | _ -> ());
-    (* Calibration: compare the autotuner's predicted per-launch
-       seconds against the makespan this launch actually added (latest
-       engine time, so async kernel completions are included). *)
-    match tune_t0 with
-    | Some t0 ->
-      record_tune ~predicted:plan.Launch_cache.pl_predicted_s
-        ~actual:(Gpusim.Machine.elapsed m -. t0)
-    | None -> ()
+          unscattered := red_bases);
+    let tail () =
+      if reducible <> [] then
+        span "reduce_scatter" (fun () ->
+            while !unscattered <> [] do
+              let arr, _, base = List.hd !unscattered in
+              let vb = find (List.assoc arr arg_arrays) in
+              let ops, () =
+                with_tracker_ops vb (fun () ->
+                    Gpu_runtime.Vbuf.h2d ~cfg ~pool:(pool_of ()) vb
+                      ~src:base)
+              in
+              charge ~tracker_ops:ops ~ranges:0 ~dispatches:0;
+              unscattered := List.tl !unscattered
+            done;
+            Gpusim.Machine.synchronize m);
+      (* (4b): instrumented write-set collection (paper §11 fallback).
+         The shadow kernel runs once per partition, recording the exact
+         elements written; a dynamic check rejects cross-partition
+         write-after-write hazards, then the trackers are updated. *)
+      (match ck.ck_shadow with
+       | Some shadow when cfg.Gpu_runtime.Rconfig.patterns ->
+         span "shadow" @@ fun () ->
+         if not (Gpusim.Machine.is_functional m) then
+           invalid_arg
+             "Multi_gpu: instrumented writes require a functional machine";
+         let instrumented =
+           List.filter_map
+             (fun (a : Model.array_model) ->
+                if a.Model.write_instrumented then Some a.Model.arr else None)
+             km.Model.arrays
+         in
+         let per_array : (string, (int * (int * int) list) list ref) Hashtbl.t =
+           Hashtbl.create 4
+         in
+         List.iter (fun a -> Hashtbl.replace per_array a (ref [])) instrumented;
+         List.iter
+           (fun (pp : Launch_cache.partition_plan) ->
+              let dev = pp.Launch_cache.pp_part.Partition.device in
+              let buffer_of name =
+                Gpu_runtime.Vbuf.instance (find (List.assoc name arg_arrays))
+                  dev
+              in
+              (* The collected write sets are data-dependent (that is why
+                 the array needed instrumentation): they are never
+                 cached, only the shadow launch's static parameters are. *)
+              let collected = ref [] in
+              charge ~tracker_ops:0 ~ranges:0 ~dispatches:1;
+              Gpusim.Machine.launch m ~device:dev
+                ~blocks:pp.Launch_cache.pp_n_blocks
+                ~ops_per_block:pp.Launch_cache.pp_shadow_cost
+                ~run:(fun () ->
+                  let launch_grid = pp.Launch_cache.pp_launch_grid in
+                  let scalar_args = pp.Launch_cache.pp_scalar_args in
+                  let compiled, freshness =
+                    Launch_cache.find_or_compile !plan_cache
+                      {
+                        Launch_cache.ck_kernel = shadow.Kir.name;
+                        ck_grid = launch_grid;
+                        ck_block = block;
+                        ck_args = scalar_args;
+                      }
+                      ~compile:(fun () ->
+                        Kcompile.compile shadow ~grid:launch_grid ~block
+                          ~args:scalar_args)
+                  in
+                  (match freshness with
+                   | `Hit ->
+                     exec_stats.Kcompile.st_cache_hits <-
+                       exec_stats.Kcompile.st_cache_hits + 1
+                   | `Miss ->
+                     exec_stats.Kcompile.st_compiles <-
+                       exec_stats.Kcompile.st_compiles + 1);
+                  (match compiled with
+                   | Ok _ ->
+                     exec_stats.Kcompile.st_seq <-
+                       exec_stats.Kcompile.st_seq + 1
+                   | Error _ ->
+                     exec_stats.Kcompile.st_interpreted <-
+                       exec_stats.Kcompile.st_interpreted + 1);
+                  collected :=
+                    Instrument.collect_writes ~compiled:(Some compiled) ~shadow
+                      ~grid:launch_grid ~block ~args:scalar_args
+                      ~arrays:instrumented
+                      ~load:(fun a off ->
+                          (Gpusim.Buffer.data_exn (buffer_of a)).(off)));
+              List.iter
+                (fun (arr, ranges) ->
+                   let slot = Hashtbl.find per_array arr in
+                   slot := (dev, ranges) :: !slot;
+                   charge ~tracker_ops:0 ~ranges:(List.length ranges)
+                     ~dispatches:0)
+                !collected)
+           partitions;
+         List.iter
+           (fun arr ->
+              let per_dev = !(Hashtbl.find per_array arr) in
+              Instrument.check_disjoint ~arr per_dev;
+              let bufname = List.assoc arr arg_arrays in
+              let vb = find bufname in
+              List.iter
+                (fun (dev, ranges) ->
+                   let ops, () =
+                     with_tracker_ops vb (fun () ->
+                         Gpu_runtime.Vbuf.update_for_write ~cfg vb ~dev ~ranges)
+                   in
+                   charge ~tracker_ops:ops ~ranges:0 ~dispatches:0)
+                per_dev)
+           instrumented
+       | _ -> ());
+      (* Calibration: compare the autotuner's predicted per-launch
+         seconds against the makespan this launch actually added (latest
+         engine time, so async kernel completions are included). *)
+      (match tune_t0 with
+       | Some t0 ->
+         record_tune ~predicted:plan.Launch_cache.pl_predicted_s
+           ~actual:(Gpusim.Machine.elapsed m -. t0)
+       | None -> ());
+      pending_tail := None
+    in
+    if reducible <> [] then pending_tail := Some tail;
+    tail ()
   in
   (* Halo/overlapped-tiled execution of [Repeat (iters, [Launch; Swap])]
      stencil loops (DESIGN.md §18).  Per temporal block of [t <= depth]
@@ -1517,10 +1540,13 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   in
   (* Flatten the statement stream (Repeat bodies expanded) so execution
      has a program counter: checkpoints record an index to replay from.
-     Re-executing any statement is idempotent — h2d re-scatters the
-     same source, launches recompute the same values from the same
-     synchronized inputs, tracker updates converge — which is what
-     makes both retry and replay safe. *)
+     Re-executing a statement from its start is idempotent — h2d
+     re-scatters the same source, launches recompute the same values
+     from the same synchronized inputs, tracker updates converge —
+     which is what makes both retry and replay safe.  The one
+     exception is a reducible launch past its merge (the base already
+     holds the merged values); a retry resumes its [pending_tail]
+     instead. *)
   let stmts =
     let acc = ref [] in
     let rec go (s : Host_ir.stmt) =
@@ -1607,6 +1633,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       vbufs;
     if !data_lost then begin
       incr replays;
+      pending_tail := None;
       `Replay (restore_checkpoint ())
     end
     else `Retry
@@ -1682,7 +1709,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     let stmt = stmts.(!i) in
     let rec attempt ~tries ~spent =
       try
-        exec stmt;
+        (match !pending_tail with Some tail -> tail () | None -> exec stmt);
         if healing then begin
           (match stmt with
            | Host_ir.Launch _ -> incr launches_since_ckpt

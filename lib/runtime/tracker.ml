@@ -69,11 +69,9 @@ let owner_at t idx =
   | [ s ] -> s.owner
   | _ -> invalid_arg "Tracker.owner_at: uncovered index"
 
-(* Record that [owner] has written [start, stop): existing segments are
-   split/absorbed and the new segment is merged with equal-owner
-   neighbors. *)
-let write t ~start ~stop ~owner =
-  check_range t ~start ~stop ~what:"write";
+(* The general write: existing segments are split/absorbed and the new
+   segment is merged with equal-owner neighbors. *)
+let write_general t ~start ~stop ~owner =
   (* Split a segment straddling [at]. *)
   let split at =
     match M.floor t.map at with
@@ -115,6 +113,25 @@ let write t ~start ~stop ~owner =
    | _ -> bump t 1);
   bump t 1;
   M.add t.map !seg_start (!seg_stop, owner)
+
+(* Record that [owner] has written [start, stop). *)
+let write t ~start ~stop ~owner =
+  check_range t ~start ~stop ~what:"write";
+  match M.floor t.map start with
+  | Some (s, (e, o)) when o = owner && stop <= e ->
+    (* [owner] already holds the whole range: the general path below
+       would split, delete and re-merge back to this very segment.
+       Charge exactly the ops it would count (the counts feed the
+       simulated pattern time): the two splits, the scan (the doomed
+       segment plus its right neighbour, if any), one delete, the two
+       neighbour probes and the final insert. *)
+    bump t
+      ((if s < start then 3 else 1)
+       + (if stop < e then 3 else 1)
+       + 1
+       + (if stop < t.len then 1 else 0)
+       + 4)
+  | _ -> write_general t ~start ~stop ~owner
 
 (* The segments a given owner holds, in order — for owner = a device
    id, exactly the ranges whose only fresh copy that device has (one

@@ -168,9 +168,10 @@ let clamp_ranges t ranges =
    is exactly the traffic a real spill pays — and its ownership moves
    to [Tracker.host]; resident segments owned elsewhere are dropped
    free, since the protocol re-fetches them on the next read anyway.
-   On an unlimited machine nothing ever triggers eviction and the only
-   cost is the stamp bookkeeping, which never touches the simulated
-   clock. *)
+   On an unlimited machine nothing ever triggers eviction, so the
+   stamps are never read: ranges that are already resident there are
+   left unstamped, and the only cost is the bookkeeping of newly
+   resident ranges, which never touches the simulated clock. *)
 
 let resident_bytes t ~dev =
   if dev < 0 || dev >= Array.length t.charged then 0 else t.charged.(dev)
@@ -268,13 +269,13 @@ let coldest pool ~dev ~stamp =
            (Tracker.query v.residency.(dev) ~start:0 ~stop:v.len))
     None pool
 
-let non_resident_len t ~dev ~start ~stop =
+(* Elements of a residency query that are not resident. *)
+let non_resident_len segs =
   List.fold_left
     (fun acc (seg : Tracker.segment) ->
        if seg.owner = 0 then acc + (seg.Tracker.stop - seg.Tracker.start)
        else acc)
-    0
-    (Tracker.query t.residency.(dev) ~start ~stop)
+    0 segs
 
 (* Make the ranges resident on [dev], evicting coldest-first from
    [pool] (plus this vbuf) when the device is full.  All ranges of one
@@ -287,18 +288,24 @@ let ensure_resident ?(cfg = Rconfig.alpha) ?(pool = []) ?stamp t ~dev ~ranges =
   in
   let pool = if List.memq t pool then pool else t :: pool in
   let eb = elem_bytes t in
+  (* Under an unlimited capacity nothing is ever evicted, so the LRU
+     stamps are never read and already-resident ranges need no
+     re-stamping. *)
+  let finite = Gpusim.Machine.mem_capacity t.machine < max_int in
   List.iter
     (fun (start, stop) ->
-       (* Re-stamp the already-resident parts first: from now on the
-          eviction loop below cannot pick them. *)
-       List.iter
-         (fun (seg : Tracker.segment) ->
-            if seg.owner > 0 then
-              Tracker.write t.residency.(dev) ~start:seg.Tracker.start
-                ~stop:seg.Tracker.stop ~owner:stamp)
-         (Tracker.query t.residency.(dev) ~start ~stop);
-       let needed = non_resident_len t ~dev ~start ~stop * eb in
+       let segs = Tracker.query t.residency.(dev) ~start ~stop in
+       let needed = non_resident_len segs * eb in
        if needed > 0 then begin
+         (* Re-stamp the already-resident parts first: from now on the
+            eviction loop below cannot pick them. *)
+         if finite then
+           List.iter
+             (fun (seg : Tracker.segment) ->
+                if seg.owner > 0 then
+                  Tracker.write t.residency.(dev) ~start:seg.Tracker.start
+                    ~stop:seg.Tracker.stop ~owner:stamp)
+             segs;
          while Gpusim.Machine.mem_free t.machine dev < needed do
            match coldest pool ~dev ~stamp with
            | Some (v, seg) ->
@@ -318,7 +325,8 @@ let ensure_resident ?(cfg = Rconfig.alpha) ?(pool = []) ?stamp t ~dev ~ranges =
          t.charged.(dev) <- t.charged.(dev) + needed;
          Tracker.write t.residency.(dev) ~start ~stop ~owner:stamp
        end
-       else Tracker.write t.residency.(dev) ~start ~stop ~owner:stamp)
+       else if finite then
+         Tracker.write t.residency.(dev) ~start ~stop ~owner:stamp)
     (clamp_ranges t ranges)
 
 (* How many elements of [start, stop) could be made resident on [dev]

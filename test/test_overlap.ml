@@ -351,6 +351,60 @@ let test_backfill_gap () =
   checkb "end-to-end bounded by the parked d2h" true
     (t >= 0.014 && t < 0.0145)
 
+(* Coalesced admission against first fit: a link merges reservations
+   that touch end-to-start, and must still admit every transfer at the
+   earliest start that overlaps no reservation of the plain, unmerged
+   interval list.  Times and occupancies are multiples of 1/4 (exact
+   in binary), so back-to-back reservations and gaps exactly as long
+   as the occupancy are frequent. *)
+let prop_admission_first_fit =
+  QCheck.Test.make ~name:"coalesced admission matches first fit" ~count:500
+    QCheck.(
+      list_of_size Gen.(int_range 1 40)
+        (pair (int_range 0 40) (int_range 1 8)))
+    (fun reqs ->
+      let first_fit busy ~from ~dur =
+        let free t =
+          List.for_all (fun (s, e) -> t +. dur <= s || e <= t) busy
+        in
+        List.fold_left
+          (fun acc (_, e) ->
+            if e >= from && free e then Float.min acc e else acc)
+          (if free from then from else infinity)
+          busy
+      in
+      let sorted_disjoint l =
+        let rec go = function
+          | (_, e) :: ((s', _) :: _ as rest) -> e < s' && go rest
+          | _ -> true
+        in
+        List.for_all (fun (s, e) -> s < e) l && go l
+      in
+      let _, _, ok =
+        List.fold_left
+          (fun (merged, plain, ok) (k, j) ->
+            let from = float_of_int k /. 4.0 and dur = float_of_int j /. 4.0 in
+            let s = Machine.earliest_free merged ~from ~dur in
+            let expected = first_fit plain ~from ~dur in
+            let merged = Machine.insert_interval (s, s +. dur) merged in
+            ( merged,
+              List.sort compare ((expected, expected +. dur) :: plain),
+              ok && s = expected && sorted_disjoint merged ))
+          ([], [], true) reqs
+      in
+      ok)
+
+(* A zero-length reservation is never merged and keeps the place a
+   plain sorted insert gives it, after a run that ends where it
+   starts. *)
+let test_admission_zero_length () =
+  checkb "after a touching run" true
+    (Machine.insert_interval (2.0, 2.0) [ (1.0, 2.0); (3.0, 4.0) ]
+     = [ (1.0, 2.0); (2.0, 2.0); (3.0, 4.0) ]);
+  checkb "before a run that starts there" true
+    (Machine.insert_interval (3.0, 3.0) [ (1.0, 2.0); (3.0, 4.0) ]
+     = [ (1.0, 2.0); (3.0, 3.0); (3.0, 4.0) ])
+
 let () =
   Alcotest.run "overlap"
     [
@@ -377,5 +431,10 @@ let () =
             test_inter_island_both_uplinks;
         ] );
       ( "backfill",
-        [ Alcotest.test_case "gap admission" `Quick test_backfill_gap ] );
+        [
+          Alcotest.test_case "gap admission" `Quick test_backfill_gap;
+          qtest prop_admission_first_fit;
+          Alcotest.test_case "zero-length reservations" `Quick
+            test_admission_zero_length;
+        ] );
     ]

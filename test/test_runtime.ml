@@ -182,6 +182,34 @@ let gen_tracker_op =
     let lo = min a b and hi = max a b + 1 in
     return (is_write, lo, hi, owner))
 
+(* The B-tree ops the general write/query path charges, computed from
+   the flat model before the op (its maximal equal-owner runs are the
+   tracker's segments).  Tracker ops feed the simulated pattern time,
+   so a fast path must charge exactly this. *)
+let reference_ops model ~is_write ~lo ~hi =
+  let len = Array.length model in
+  let run_start i =
+    let j = ref i in
+    while !j > 0 && model.(!j - 1) = model.(i) do decr j done;
+    !j
+  in
+  let run_stop i =
+    let j = ref i in
+    while !j < len - 1 && model.(!j + 1) = model.(i) do incr j done;
+    !j + 1
+  in
+  (* segments overlapping [lo, hi) *)
+  let k = ref 1 in
+  for i = lo + 1 to hi - 1 do if model.(i) <> model.(i - 1) then incr k done;
+  let right = if run_stop (hi - 1) < len then 1 else 0 in
+  if is_write then
+    let split_lo = if run_start lo < lo then 3 else 1 in
+    let split_hi = if hi < len && run_start hi < hi then 3 else 1 in
+    (* two splits, the scan (k pieces plus the segment at [hi]), k
+       deletes, two neighbour probes and the insert *)
+    split_lo + split_hi + (2 * !k) + (if hi < len then 1 else 0) + 3
+  else 1 + !k + right
+
 let prop_tracker_model =
   QCheck.Test.make ~name:"tracker matches flat-array model" ~count:300
     (QCheck.make
@@ -197,14 +225,19 @@ let prop_tracker_model =
       let model = Array.make 100 0 in
       List.for_all
         (fun (is_write, lo, hi, owner) ->
+          let expected =
+            Tracker.ops t + reference_ops model ~is_write ~lo ~hi
+          in
           if is_write then begin
             Tracker.write t ~start:lo ~stop:hi ~owner;
             Array.fill model lo (hi - lo) owner;
             Tracker.check_invariants t;
-            true
+            Tracker.ops t = expected
           end
           else
             let segs = Tracker.query t ~start:lo ~stop:hi in
+            Tracker.ops t = expected
+            &&
             (* coverage and agreement *)
             let covered = Array.make (hi - lo) false in
             List.for_all

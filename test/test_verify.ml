@@ -317,6 +317,47 @@ let test_histogram_partitioned () =
 let test_dot_partitioned () =
   device_sweep "dot" (fun () -> Apps.Workloads.functional_dot ~n:2048)
 
+(* A device lost inside the reducible merge — after the accumulators
+   were folded into the host base, while the base is scattered back —
+   must not merge them twice.  The loss time is the start of the merge
+   scatter's first upload in a fault-free run: every earlier operation
+   touching device 3 ends before the merge's barrier, and the scatter's
+   upload to device 3 is issued after that start. *)
+let test_histogram_loss_in_merge () =
+  let n_devices = 4 in
+  let mk () = Apps.Workloads.functional_histogram ~n:8192 ~nbins:97 in
+  let machine ?faults () =
+    Gpusim.Machine.create ~functional:true
+      { (Gpusim.Config.test_box ~n_devices ()) with Gpusim.Config.faults }
+  in
+  let prog, _, _ = mk () in
+  let m0 = machine () in
+  Gpusim.Machine.enable_trace m0;
+  ignore (Mekong.Multi_gpu.run ~machine:m0 (compile_exe prog));
+  let h2ds =
+    List.filter
+      (fun (e : Gpusim.Machine.event) -> e.Gpusim.Machine.ev_kind = `H2d)
+      (Gpusim.Machine.trace m0)
+  in
+  (* The merge scatter is the last upload round, one chunk per device. *)
+  let scatter =
+    List.filteri (fun i _ -> i >= List.length h2ds - n_devices) h2ds
+  in
+  let death = (List.hd scatter).Gpusim.Machine.ev_start in
+  let prog, out, cpu = mk () in
+  let m =
+    machine
+      ~faults:
+        { Gpusim.Faults.null_spec with scheduled_losses = [ (3, death) ] }
+      ()
+  in
+  let r = Mekong.Multi_gpu.run ~machine:m (compile_exe prog) in
+  checki "device 3 lost" 1
+    r.Mekong.Multi_gpu.faults.Mekong.Multi_gpu.fr_devices_lost;
+  checkb "histogram bit-identical to the CPU reference" true
+    (Array.map Int64.bits_of_float out
+     = Array.map Int64.bits_of_float (cpu ()))
+
 let test_link_rejects_racy_atomics () =
   (* An atomic kernel that ALSO plainly writes the reduced array is
      neither safe nor reducible; link must refuse it rather than let
@@ -402,6 +443,8 @@ let () =
           Alcotest.test_case "histogram 1/2/4 devices" `Quick
             test_histogram_partitioned;
           Alcotest.test_case "dot 1/2/4 devices" `Quick test_dot_partitioned;
+          Alcotest.test_case "histogram loss inside the merge" `Quick
+            test_histogram_loss_in_merge;
           Alcotest.test_case "link rejects unsound atomics" `Quick
             test_link_rejects_racy_atomics;
         ] );
