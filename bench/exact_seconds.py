@@ -4,8 +4,9 @@
     python3 bench/exact_seconds.py BASELINE.json FRESH.json
 
 Walks both reports in parallel and compares every field whose name ends
-in "_seconds", except "wall_seconds" (host wall time, which `bench
-compare` gates with a noise allowance).  Every other such field is
+in "_seconds", except the host wall-time fields ("wall_seconds" and its
+"wall_*" spread descriptors, which `bench compare` gates with a noise
+allowance).  Every other such field is
 simulated time, a pure function of the code and the campaign's inputs,
 so it must match the baseline bit for bit, in either direction.  A field
 present in one report and missing from the other also fails.  Exits 1
@@ -17,7 +18,7 @@ import sys
 
 
 def simulated(k):
-    return k.endswith("_seconds") and k != "wall_seconds"
+    return k.endswith("_seconds") and not k.startswith("wall_")
 
 
 def has_simulated(x):

@@ -245,7 +245,7 @@ val causal_dropped : t -> int
 
 val set_phase : t -> string -> unit
 (** Label subsequently recorded causal nodes with an engine phase
-    (barrier, sync_reads, halo_exchange, ...); [""] clears it. *)
+    (barrier, sync_reads, launch, ...); [""] clears it. *)
 
 val with_phase : t -> string -> (unit -> 'a) -> 'a
 (** Run [f] with the phase label set, restoring the previous label

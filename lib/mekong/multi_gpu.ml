@@ -343,8 +343,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
         Gpusim.Machine.with_phase m name f)
   in
   let host_costs = (Gpusim.Machine.config m).Gpusim.Config.host in
-  let n_devices = Gpusim.Machine.n_devices m in
-  Gpusim.Machine.set_active_devices m n_devices;
+  Gpusim.Machine.set_active_devices m (Gpusim.Machine.n_devices m);
   (* Self-healing is armed only when the machine injects faults, so
      ideal-hardware runs take the exact pre-existing path: no replica
      tracking, no checkpoints, no extra simulated work. *)
@@ -363,8 +362,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   let mem_cap = Gpusim.Machine.mem_capacity m in
   let capped = mem_cap < max_int && cfg.Gpu_runtime.Rconfig.patterns in
   let elem_bytes = (Gpusim.Machine.config m).Gpusim.Config.elem_bytes in
-  let chunked_launches = ref 0 and chunks_run = ref 0 in
-  let oom_refinements = ref 0 in
+  let mem = ref no_mem in
   (* Per-launch-key forced minimum chunk count: bumped when a launch
      dies with a live Out_of_memory despite the footprint estimate. *)
   let forced : (Launch_cache.key, int) Hashtbl.t = Hashtbl.create 4 in
@@ -372,40 +370,29 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   (* The scorer needs the polyhedral range lists, so autotuning is only
      meaningful under a patterns config (like the tracker itself). *)
   let tune_enabled = autotune && cfg.Gpu_runtime.Rconfig.patterns in
-  (* Double-buffer pairs of the host program (static): the autotuner's
-     steady-state home model and the halo-tiling legality check both
-     need to know which buffer a Swap aliases to which. *)
-  let swap_aliases =
-    let acc = ref [] in
-    let rec go (s : Host_ir.stmt) =
-      match s with
-      | Host_ir.Swap (a, b) ->
-        if not (List.mem (a, b) !acc || List.mem (b, a) !acc) then
-          acc := (a, b) :: !acc
-      | Host_ir.Repeat (_, body) -> List.iter go body
-      | _ -> ()
-    in
-    List.iter go exe.prog.Host_ir.body;
-    List.rev !acc
-  in
-  (* Iteration context per kernel (static): the product of enclosing
-     Repeat counts, which is what the halo-aware scorer amortizes
-     per-transfer latency and barriers over. *)
+  (* Two static facts of the host program.  Double-buffer pairs: the
+     autotuner's steady-state home model and the halo-tiling legality
+     check both need to know which buffer a Swap aliases to which.
+     Iteration context per kernel: the product of enclosing Repeat
+     counts, which is what the halo-aware scorer amortizes per-transfer
+     latency and barriers over. *)
+  let aliases = ref [] in
   let repeat_iters : (string, int) Hashtbl.t = Hashtbl.create 4 in
-  let () =
-    let rec scan ~n (s : Host_ir.stmt) =
-      match s with
-      | Host_ir.Launch { kernel; _ } ->
-        let cur =
-          Option.value ~default:1
-            (Hashtbl.find_opt repeat_iters kernel.Kir.name)
-        in
-        if n > cur then Hashtbl.replace repeat_iters kernel.Kir.name n
-      | Host_ir.Repeat (k, body) -> List.iter (scan ~n:(n * k)) body
-      | _ -> ()
-    in
-    List.iter (scan ~n:1) exe.prog.Host_ir.body
+  let rec scan ~n (s : Host_ir.stmt) =
+    match s with
+    | Host_ir.Swap (a, b) ->
+      if not (List.mem (a, b) !aliases || List.mem (b, a) !aliases) then
+        aliases := (a, b) :: !aliases
+    | Host_ir.Launch { kernel; _ } ->
+      let cur =
+        Option.value ~default:1 (Hashtbl.find_opt repeat_iters kernel.Kir.name)
+      in
+      if n > cur then Hashtbl.replace repeat_iters kernel.Kir.name n
+    | Host_ir.Repeat (k, body) -> List.iter (scan ~n:(n * k)) body
+    | _ -> ()
   in
+  List.iter (scan ~n:1) exe.prog.Host_ir.body;
+  let swap_aliases = List.rev !aliases in
   let iters_of kernel =
     Option.value ~default:1 (Hashtbl.find_opt repeat_iters kernel.Kir.name)
   in
@@ -419,12 +406,6 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       Autotune.signature ~cfg:(Gpusim.Machine.config m) ~live:!live
         ~iters:(iters_of kernel)
   in
-  (* Winning halo schedules by launch key, filled by [build_plan] when
-     the autotuner's winner carries one; the Repeat executor consults
-     it (plan [pl_halo >= 2] guarantees an entry from the same build). *)
-  let halo_infos : (Launch_cache.key, Autotune.halo_plan) Hashtbl.t =
-    Hashtbl.create 4
-  in
   (* Halo-tiled Repeat execution composes with the plain engine only:
      self-healing checkpoints count per-launch, preemption and resume
      index into the flattened stream, and memory chunking re-syncs
@@ -435,26 +416,36 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     tune_enabled && (not healing) && abort_at = None && resume = None
     && not capped
   in
-  let tune_launches = ref 0 in
-  let tune_pred = ref 0.0 and tune_act = ref 0.0 in
-  let tune_err_hist = Array.make (Array.length tune_err_buckets + 1) 0 in
-  let halo_blocks = ref 0 and halo_steps = ref 0 in
-  let record_tune ~predicted ~actual =
-    incr tune_launches;
-    tune_pred := !tune_pred +. predicted;
-    tune_act := !tune_act +. actual;
+  let tune =
+    ref
+      {
+        no_tune with
+        tn_err_hist = Array.make (Array.length tune_err_buckets + 1) 0;
+      }
+  in
+  (* One calibration sample; [halo_steps > 0] for a halo-tiled temporal
+     block of that many steps. *)
+  let record_tune ?(halo_steps = 0) ~predicted ~actual () =
+    let t = !tune in
     let err =
       if actual > 0.0 then abs_float (predicted -. actual) /. actual *. 100.0
       else if predicted = 0.0 then 0.0
       else infinity
     in
-    let rec bucket i =
-      if i >= Array.length tune_err_buckets then i
-      else if err <= tune_err_buckets.(i) then i
-      else bucket (i + 1)
-    in
-    let b = bucket 0 in
-    tune_err_hist.(b) <- tune_err_hist.(b) + 1
+    let b = ref 0 in
+    while !b < Array.length tune_err_buckets && err > tune_err_buckets.(!b) do
+      incr b
+    done;
+    t.tn_err_hist.(!b) <- t.tn_err_hist.(!b) + 1;
+    tune :=
+      {
+        t with
+        tn_launches = t.tn_launches + 1;
+        tn_predicted_s = t.tn_predicted_s +. predicted;
+        tn_actual_s = t.tn_actual_s +. actual;
+        tn_halo_blocks = (t.tn_halo_blocks + if halo_steps > 0 then 1 else 0);
+        tn_halo_steps = t.tn_halo_steps + halo_steps;
+      }
   in
   (* The eviction pool, sorted by name: stamps shared across vbufs can
      tie, and [coldest] breaks ties by pool order, so the order must
@@ -470,11 +461,10 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   let compiled_tbl : (string, compiled_kernel) Hashtbl.t =
     Hashtbl.create 16
   in
+  (* First binding wins. *)
   List.iter
-    (fun (name, ck) ->
-       if not (Hashtbl.mem compiled_tbl name) then
-         Hashtbl.add compiled_tbl name ck)
-    exe.compiled;
+    (fun (name, ck) -> Hashtbl.replace compiled_tbl name ck)
+    (List.rev exe.compiled);
   (* The launch-key reduction field: which arrays this kernel
      accumulates reducibly, under which operator.  Static per link,
      but part of the key so a plan can never be replayed under a
@@ -504,16 +494,19 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
      would already hold the merged values and be merged twice), so a
      retry after a fault resumes here instead. *)
   let pending_tail : (unit -> unit) option ref = ref None in
-  (* The cache lives for one cache generation: device count, tiling and
+  (* The unfinished memory chunks of the current launch statement (see
+     [issue]).  A device loss or a plan refinement invalidates the plan
+     they belong to, so both drop them and the statement restarts. *)
+  let pending_chunks : (unit -> unit) option ref = ref None in
+  (* Plans live for one cache generation: device count, tiling and
      measurement config are fixed within it, so they need not be part
      of the key.  A permanent device loss changes the partitioning and
      starts a fresh generation (every cached plan names the dead
-     device). *)
-  let plan_cache = ref (Launch_cache.create ()) in
+     device); compiled kernels and the counters outlive it. *)
+  let plan_cache = Launch_cache.create () in
   let find b =
-    match Hashtbl.find_opt vbufs b with
-    | Some vb -> vb
-    | None -> invalid_arg ("Multi_gpu: unallocated buffer " ^ b)
+    try Hashtbl.find vbufs b
+    with Not_found -> invalid_arg ("Multi_gpu: unallocated buffer " ^ b)
   in
   (* Charge host-side dependency-resolution work (the "patterns"
      overhead of §9.2). *)
@@ -525,137 +518,216 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     in
     if seconds > 0.0 then Gpusim.Machine.host_work m ~seconds ~category:"pattern"
   in
-  let with_tracker_ops vb f =
+  (* Run [f] against [vb] and charge the tracker operations it performed
+     plus [ranges] raw range emissions. *)
+  let tracked vb ~ranges f =
     let tr = Gpu_runtime.Vbuf.tracker vb in
     let before = Gpu_runtime.Tracker.ops tr in
     let res = f () in
-    (Gpu_runtime.Tracker.ops tr - before, res)
+    charge ~tracker_ops:(Gpu_runtime.Tracker.ops tr - before) ~ranges
+      ~dispatches:0;
+    res
   in
-  (* The launch/sync/update primitives of one partition plan, shared by
-     the per-launch path ([exec_launch]) and the halo-tiled Repeat
-     executor.  Buffer names resolve through [find] at call time, so a
-     host-program Swap between calls redirects them exactly as it does
-     the kernel's own argument resolution. *)
-  let sync_pp_reads ?stamp ~pool ~batch (pp : Launch_cache.partition_plan) =
-    List.iter
-      (fun { Launch_cache.rg_buf; rg_ranges; rg_raw } ->
-         let vb = find rg_buf in
-         let ops, transfers =
-           with_tracker_ops vb (fun () ->
-               Gpu_runtime.Vbuf.sync_for_read ~cfg ~batch ~pool ?stamp vb
-                 ~dev:pp.Launch_cache.pp_part.Partition.device
-                 ~ranges:rg_ranges)
-         in
-         total_transfers := !total_transfers + transfers;
-         charge ~tracker_ops:ops ~ranges:rg_raw ~dispatches:0)
-      pp.Launch_cache.pp_reads
+  (* Host-to-device scatter of one buffer, under the eviction pool. *)
+  let upload vb src =
+    tracked vb ~ranges:0 (fun () ->
+        Gpu_runtime.Vbuf.h2d ~cfg ~pool:(pool_of ()) vb ~src)
   in
-  let update_pp_writes ?stamp ~pool (pp : Launch_cache.partition_plan) =
-    List.iter
-      (fun { Launch_cache.rg_buf; rg_ranges; rg_raw } ->
-         let vb = find rg_buf in
-         let ops, () =
-           with_tracker_ops vb (fun () ->
-               Gpu_runtime.Vbuf.update_for_write ~cfg ~pool ?stamp vb
-                 ~dev:pp.Launch_cache.pp_part.Partition.device
-                 ~ranges:rg_ranges)
-         in
-         charge ~tracker_ops:ops ~ranges:rg_raw ~dispatches:0)
-      pp.Launch_cache.pp_writes
+  let functional = Gpusim.Machine.is_functional m in
+  (* Gather one buffer to the host: into [dst] when given, otherwise
+     into a fresh array on functional machines ([None] on performance
+     ones, where only extents matter).  Callers order it with a
+     barrier first. *)
+  let gather ?dst vb =
+    let dst =
+      match dst with
+      | Some dst -> dst
+      | None when functional -> Some (Array.make (Gpu_runtime.Vbuf.len vb) 0.0)
+      | None -> None
+    in
+    tracked vb ~ranges:0 (fun () -> Gpu_runtime.Vbuf.d2h ~cfg vb ~dst);
+    dst
   in
-  let launch_pp ?redirect ck ~arg_arrays ~block
+  (* Compiled closures are cached even with [cache:false]: they never
+     affect simulated results, and re-deriving them per launch would
+     bury the plan-cache A/B signal under compilation noise. *)
+  let compiled_for kernel ~grid ~block ~args =
+    let compiled, freshness =
+      Launch_cache.find_or_compile plan_cache
+        {
+          Launch_cache.ck_kernel = kernel.Kir.name;
+          ck_grid = grid;
+          ck_block = block;
+          ck_args = args;
+        }
+        ~compile:(fun () -> Kcompile.compile kernel ~grid ~block ~args)
+    in
+    (match freshness with
+     | `Hit ->
+       exec_stats.Kcompile.st_cache_hits <- exec_stats.Kcompile.st_cache_hits + 1
+     | `Miss ->
+       exec_stats.Kcompile.st_compiles <- exec_stats.Kcompile.st_compiles + 1);
+    compiled
+  in
+  let interpreted () =
+    exec_stats.Kcompile.st_interpreted <- exec_stats.Kcompile.st_interpreted + 1
+  in
+  let no_redirect _ = None in
+  (* The last shadow launch's write sets, and a stage's collection of
+     them as (array, device, ranges). *)
+  let shadow_sets = ref [] and collected = ref [] in
+  (* The one launch site: [pp]'s partition of [ck]'s partitioned kernel
+     on its device or, with [collect] non-empty, of its shadow clone,
+     which records the written elements of those arrays onto
+     [collected].  Buffer names resolve through [find] at run time, so
+     a host-program Swap between calls redirects them exactly as it
+     does the kernel's own argument resolution. *)
+  let launch_pp ck ~arg_arrays ~block ~redirect ~collect
       (pp : Launch_cache.partition_plan) =
-    let buffer_of name =
-      Gpu_runtime.Vbuf.instance (find (List.assoc name arg_arrays))
-        pp.Launch_cache.pp_part.Partition.device
-    in
-    (* Reducible arrays never touch device buffers: every access lands
-       in the partition-local accumulator, and the touched flags let
-       the merge skip identity elements (preserving the base bits,
-       -0.0 included). *)
-    let redirect a =
-      match redirect with None -> None | Some f -> f a
-    in
+    let dev = pp.Launch_cache.pp_part.Partition.device in
+    let grid = pp.Launch_cache.pp_launch_grid
+    and args = pp.Launch_cache.pp_scalar_args in
     charge ~tracker_ops:0 ~ranges:0 ~dispatches:1;
-    Gpusim.Machine.launch m
-      ~device:pp.Launch_cache.pp_part.Partition.device
-      ~blocks:pp.Launch_cache.pp_n_blocks
-      ~ops_per_block:pp.Launch_cache.pp_ops_per_block ~run:(fun () ->
-        let launch_grid = pp.Launch_cache.pp_launch_grid in
-        let scalar_args = pp.Launch_cache.pp_scalar_args in
-        let compiled, freshness =
-          (* Compiled closures are cached even with [cache:false]:
-             they never affect simulated results, and re-deriving
-             them per launch would bury the plan-cache A/B signal
-             under compilation noise. *)
-          Launch_cache.find_or_compile !plan_cache
-            {
-              Launch_cache.ck_kernel = ck.ck_partitioned.Kir.name;
-              ck_grid = launch_grid;
-              ck_block = block;
-              ck_args = scalar_args;
-            }
-            ~compile:(fun () ->
-              Kcompile.compile ck.ck_partitioned ~grid:launch_grid
-                ~block ~args:scalar_args)
+    Gpusim.Machine.launch m ~device:dev ~blocks:pp.Launch_cache.pp_n_blocks
+      ~ops_per_block:
+        (if collect = [] then pp.Launch_cache.pp_ops_per_block
+         else pp.Launch_cache.pp_shadow_cost)
+      ~run:(fun () ->
+        let buffer_of a =
+          Gpu_runtime.Vbuf.instance (find (List.assoc a arg_arrays)) dev
         in
-        (match freshness with
-         | `Hit ->
-           exec_stats.Kcompile.st_cache_hits <-
-             exec_stats.Kcompile.st_cache_hits + 1
-         | `Miss ->
-           exec_stats.Kcompile.st_compiles <-
-             exec_stats.Kcompile.st_compiles + 1);
-        match compiled with
-        | Ok cck ->
-          (* Resolve each array argument to its device-local
-             backing data once per launch, not per access. *)
-          let load a =
-            match redirect a with
-            | Some (acc, _) -> fun off -> acc.(off)
-            | None ->
-              let data = Gpusim.Buffer.data_exn (buffer_of a) in
-              fun off -> data.(off)
-          in
-          let store a =
-            match redirect a with
-            | Some (acc, touched) ->
-              fun off v ->
-                acc.(off) <- v;
-                touched.(off) <- true
-            | None ->
-              let data = Gpusim.Buffer.data_exn (buffer_of a) in
-              fun off v -> data.(off) <- v
-          in
-          let pool =
-            match ck.ck_gate with
-            | Verify.Safe when domains > 1 ->
-              Some (Gpu_runtime.Dpool.get ())
-            | _ ->
-              (* Reducible accumulation is a read-modify-write through
-                 the shared accumulator: not domain-atomic, so blocks
-                 run sequentially (deterministic in-partition order). *)
-              None
-          in
-          Kcompile.record_path exec_stats
-            (Kcompile.run ?pool ~max_domains:domains cck ~load ~store)
-        | Error _ ->
-          let load a off =
-            match redirect a with
-            | Some (acc, _) -> acc.(off)
-            | None -> (Gpusim.Buffer.data_exn (buffer_of a)).(off)
-          in
-          let store a off v =
-            match redirect a with
-            | Some (acc, touched) ->
+        (* Reducible arrays never touch device buffers: every access lands
+           in the partition-local accumulator, and the touched flags let
+           the merge skip identity elements (preserving the base bits,
+           -0.0 included).  The compiled executor resolves each array once
+           per launch, the interpreter once per access. *)
+        let redirect = if collect = [] then redirect else no_redirect in
+        let load a =
+          match redirect a with
+          | Some (acc, _) -> fun off -> acc.(off)
+          | None ->
+            let data = Gpusim.Buffer.data_exn (buffer_of a) in
+            fun off -> data.(off)
+        in
+        let store a =
+          match redirect a with
+          | Some (acc, touched) ->
+            fun off v ->
               acc.(off) <- v;
               touched.(off) <- true
-            | None -> (Gpusim.Buffer.data_exn (buffer_of a)).(off) <- v
-          in
-          exec_stats.Kcompile.st_interpreted <-
-            exec_stats.Kcompile.st_interpreted + 1;
-          Keval.run ck.ck_partitioned ~grid:launch_grid ~block
-            ~args:scalar_args ~load ~store)
+          | None ->
+            let data = Gpusim.Buffer.data_exn (buffer_of a) in
+            fun off v -> data.(off) <- v
+        in
+        match ck.ck_shadow with
+        | Some shadow when collect <> [] ->
+          (* The collected write sets are data-dependent (that is why
+             the array needed instrumentation): they are never cached,
+             only the shadow launch's static parameters are. *)
+          let compiled = compiled_for shadow ~grid ~block ~args in
+          if Result.is_ok compiled then Kcompile.record_path exec_stats `Seq
+          else interpreted ();
+          shadow_sets :=
+            Instrument.collect_writes ~compiled:(Some compiled) ~shadow ~grid
+              ~block ~args ~arrays:collect ~load
+        | _ -> (
+            match compiled_for ck.ck_partitioned ~grid ~block ~args with
+            | Ok cck ->
+              let pool =
+                match ck.ck_gate with
+                | Verify.Safe when domains > 1 ->
+                  Some (Gpu_runtime.Dpool.get ())
+                | _ ->
+                  (* Reducible accumulation is a read-modify-write
+                     through the shared accumulator: not domain-atomic,
+                     so blocks run sequentially (deterministic
+                     in-partition order). *)
+                  None
+              in
+              Kcompile.record_path exec_stats
+                (Kcompile.run ?pool ~max_domains:domains cck ~load ~store)
+            | Error _ ->
+              interpreted ();
+              Keval.run ck.ck_partitioned ~grid ~block ~args ~load ~store));
+    if collect <> [] then
+      List.iter
+        (fun (arr, ranges) ->
+           collected := (arr, dev, ranges) :: !collected;
+           charge ~tracker_ops:0 ~ranges:(List.length ranges) ~dispatches:0)
+        !shadow_sets
+  in
+  (* Every range of per-device entries, one LRU stamp per entry: the
+     stage's [shared] one, or a fresh tick when that is 0. *)
+  let each ~shared entries f =
+    List.iter
+      (fun (dev, rgs) ->
+         let stamp = if shared > 0 then shared else Gpusim.Machine.lru_tick m in
+         List.iter (f ~dev ~stamp) rgs)
+      entries
+  in
+  (* Issue one stage of a plan: fetch, barrier, reserve, launch, tracker
+     update, each phase only when the stage has work for it.  This is
+     the engine's whole execution schedule; plans differ only in the
+     stages they carry (see [build_plan]). *)
+  let issue_stage ck ~arg_arrays ~block ~redirect_of
+      (sg : Launch_cache.stage) =
+    let pool = pool_of () in
+    let shared =
+      match sg.Launch_cache.sg_stamp with
+      | Launch_cache.Shared -> Gpusim.Machine.lru_tick m
+      | Launch_cache.Each -> 0
+    in
+    if sg.Launch_cache.sg_fetch <> [] then
+      span "sync_reads" (fun () ->
+          each ~shared sg.Launch_cache.sg_fetch (fun ~dev ~stamp r ->
+              let vb = find r.Launch_cache.rg_buf in
+              total_transfers :=
+                !total_transfers
+                + tracked vb ~ranges:r.Launch_cache.rg_raw (fun () ->
+                    Gpu_runtime.Vbuf.sync_for_read ~cfg
+                      ~batch:sg.Launch_cache.sg_batch ~pool ~stamp vb ~dev
+                      ~ranges:r.Launch_cache.rg_ranges)));
+    if sg.Launch_cache.sg_barrier then
+      span "barrier" (fun () -> Gpusim.Machine.synchronize m);
+    if sg.Launch_cache.sg_reserve then begin
+      mem := { !mem with mr_chunks = !mem.mr_chunks + 1 };
+      each ~shared sg.Launch_cache.sg_updates (fun ~dev ~stamp r ->
+          Gpu_runtime.Vbuf.ensure_resident ~cfg ~pool ~stamp
+            (find r.Launch_cache.rg_buf) ~dev ~ranges:r.Launch_cache.rg_ranges)
+    end;
+    collected := [];
+    if sg.Launch_cache.sg_launches <> [] then
+      span "launch" (fun () ->
+          List.iter
+            (fun (slot, pp) ->
+               launch_pp ck ~arg_arrays ~block ~redirect:(redirect_of slot)
+                 ~collect:sg.Launch_cache.sg_collect pp)
+            sg.Launch_cache.sg_launches);
+    if sg.Launch_cache.sg_updates <> [] || sg.Launch_cache.sg_collect <> [] then
+      span "tracker_update" (fun () ->
+          each ~shared sg.Launch_cache.sg_updates (fun ~dev ~stamp r ->
+              let vb = find r.Launch_cache.rg_buf in
+              tracked vb ~ranges:r.Launch_cache.rg_raw (fun () ->
+                  Gpu_runtime.Vbuf.update_for_write ~cfg ~pool ~stamp vb ~dev
+                    ~ranges:r.Launch_cache.rg_ranges));
+          (* Collected write sets: a dynamic check rejects cross-partition
+             write-after-write hazards, then the trackers are updated. *)
+          List.iter
+            (fun arr ->
+               let per_dev =
+                 List.filter_map
+                   (fun (a, dev, ranges) ->
+                      if a = arr then Some (dev, ranges) else None)
+                   !collected
+               in
+               Instrument.check_disjoint ~arr per_dev;
+               let vb = find (List.assoc arr arg_arrays) in
+               List.iter
+                 (fun (dev, ranges) ->
+                    tracked vb ~ranges:0 (fun () ->
+                        Gpu_runtime.Vbuf.update_for_write ~cfg vb ~dev ~ranges))
+                 per_dev)
+            sg.Launch_cache.sg_collect)
   in
   (* Rebuild the buffer population from a preemption handoff: allocate
      every buffer first (so the eviction pool sees the whole set), then
@@ -667,74 +739,20 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       (fun (name, len, _) ->
          Hashtbl.replace vbufs name (Gpu_runtime.Vbuf.create m ~name ~len))
       h.h_buffers;
-    List.iter
-      (fun (name, _, data) ->
-         let vb = find name in
-         let ops, () =
-           with_tracker_ops vb (fun () ->
-               Gpu_runtime.Vbuf.h2d ~cfg ~pool:(pool_of ()) vb ~src:data)
-         in
-         charge ~tracker_ops:ops ~ranges:0 ~dispatches:0)
-      h.h_buffers
+    List.iter (fun (name, _, data) -> upload (find name) data) h.h_buffers
   in
-  (* Derive everything a launch needs from its parameters alone (no
-     tracker or buffer state), in the exact shape the execution phases
-     below consume.  This is the launch-plan cache's payload; with the
-     cache disabled it is rebuilt for every launch, which makes the two
-     paths trivially bit-identical. *)
-  (* Total length covered by a union of half-open ranges. *)
-  let union_len ranges =
-    match List.sort compare ranges with
-    | [] -> 0
-    | (s0, e0) :: rest ->
-      let closed, (cs, ce) =
-        List.fold_left
-          (fun (acc, (cs, ce)) (s, e) ->
-             if s > ce then (acc + (ce - cs), (s, e))
-             else (acc, (cs, max ce e)))
-          (0, (s0, e0)) rest
-      in
-      closed + (ce - cs)
-  in
-  (* Per-buffer device footprint of one partition plan, in bytes: the
-     union of its clamped read and write ranges.  This is exactly what
-     [ensure_resident] will charge, so "footprint <= capacity" means
-     the launch is feasible (everything older is evictable). *)
-  let footprints (pp : Launch_cache.partition_plan) =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun { Launch_cache.rg_buf; rg_ranges; _ } ->
-         let len = Gpu_runtime.Vbuf.len (find rg_buf) in
-         let clamped =
-           List.filter_map
-             (fun (s, e) ->
-                let s = max 0 s and e = min e len in
-                if e > s then Some (s, e) else None)
-             rg_ranges
-         in
-         let prev =
-           Option.value ~default:[] (Hashtbl.find_opt tbl rg_buf)
-         in
-         Hashtbl.replace tbl rg_buf (clamped @ prev))
-      (pp.Launch_cache.pp_reads @ pp.Launch_cache.pp_writes);
-    let per_buf =
-      Hashtbl.fold
-        (fun b rs acc -> (b, union_len rs * elem_bytes) :: acc)
-        tbl []
-    in
-    List.sort compare per_buf
+  let footprints =
+    Launch_cache.footprints ~elem_bytes ~buf_len:(fun b ->
+        Gpu_runtime.Vbuf.len (find b))
   in
   let footprint pp =
     List.fold_left (fun acc (_, b) -> acc + b) 0 (footprints pp)
   in
-  let largest_buffer pp =
-    List.fold_left
-      (fun acc (b, bytes) ->
-         match acc with
-         | Some (_, best) when best >= bytes -> acc
-         | _ -> Some (b, bytes))
-      None (footprints pp)
-  in
+  (* Derive everything a launch needs from its parameters alone (no
+     tracker or buffer state): the launch-plan cache's payload, the
+     launch's issue order as a list of stages.  With the cache disabled
+     it is rebuilt for every launch, which makes the two paths
+     trivially bit-identical. *)
   let build_plan ?(min_chunks = 1) ck kernel grid block args :
     Launch_cache.plan =
     let km = ck.ck_model in
@@ -790,23 +808,19 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     in
     let common = launch_bindings kernel ~grid ~block ~args in
     let arg_arrays = Host_ir.array_bindings kernel args in
+    let patterns = cfg.Gpu_runtime.Rconfig.patterns in
     let eval_ranges p select =
       (* Gamma runs never consume range lists; skip evaluating them. *)
-      if not cfg.Gpu_runtime.Rconfig.patterns then []
+      if not patterns then []
       else
         let bindings = common @ Partition.box_bindings p ~block in
         List.filter_map
-          (fun (arr, bufname) ->
-             match Option.bind (Codegen.entry ck.ck_enums arr) select with
-             | Some enum ->
-               let ranges, raw = Codegen.ranges_counted enum ~bindings in
-               Some
-                 {
-                   Launch_cache.rg_buf = bufname;
-                   rg_ranges = ranges;
-                   rg_raw = raw;
-                 }
-             | None -> None)
+          (fun (arr, rg_buf) ->
+             Option.map
+               (fun enum ->
+                  let rg_ranges, rg_raw = Codegen.ranges_counted enum ~bindings in
+                  { Launch_cache.rg_buf; rg_ranges; rg_raw })
+               (Option.bind (Codegen.entry ck.ck_enums arr) select))
           arg_arrays
     in
     let plan_of p =
@@ -820,7 +834,6 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
         pp_writes = eval_ranges p (fun e -> e.Codegen.write);
         pp_launch_grid = Partition.launch_grid p;
         pp_n_blocks = Partition.n_blocks p;
-        pp_part_args = part_args;
         pp_scalar_args = Host_ir.scalar_args part_args;
         pp_ops_per_block =
           Costmodel.ops_per_block ck.ck_partitioned ~scalar_env ~block;
@@ -831,257 +844,60 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
                ~scalar_env:(Host_ir.scalar_bindings shadow part_args)
                ~block
            | None -> 0.0);
-        pp_chunks = [];
       }
     in
-    let pl_partitions = List.map plan_of partitions in
+    let pps = List.map plan_of partitions in
     (* Memory-pressure chunking: split any partition whose footprint
        exceeds the device capacity into sequential sub-launches that
-       fit.  Geometric search over the chunk count; at each count every
-       axis with more than one block is tried and the one minimizing
-       the worst chunk footprint wins (for matmul partitioned along y,
-       chunking along x is what shrinks the B operand's band). *)
-    let infeasible pp' =
-      let dev = pp'.Launch_cache.pp_part.Partition.device in
-      let need = footprint pp' in
-      let buf, bufbytes =
-        Option.value ~default:("<none>", 0) (largest_buffer pp')
-      in
-      failwith
-        (Printf.sprintf
-           "Multi_gpu: kernel %s is infeasible under the device memory \
-            capacity: smallest chunk still needs %d bytes on device %d \
-            (largest buffer %s: %d bytes) but the capacity is %d, \
-            %d bytes short"
-           kernel.Kir.name need dev buf bufbytes mem_cap (need - mem_cap))
-    in
+       fit ([] = launch whole). *)
     let chunk_plan pp =
-      let fp = footprint pp in
-      if fp <= mem_cap && min_chunks <= 1 then pp
-      else begin
-        let p = pp.Launch_cache.pp_part in
-        let extent a =
-          Dim3.get p.Partition.max_blocks a
-          - Dim3.get p.Partition.min_blocks a
+      match Launch_cache.chunk ~plan_of ~footprint ~mem_cap ~min_chunks pp with
+      | Ok chunks -> chunks
+      | Error tightest ->
+        let buf, bufbytes =
+          Option.value ~default:("<none>", 0)
+            (List.fold_left
+               (fun acc (b, bytes) ->
+                  match acc with
+                  | Some (_, best) when best >= bytes -> acc
+                  | _ -> Some (b, bytes))
+               None (footprints tightest))
         in
-        let axes = List.filter (fun a -> extent a > 1) Dim3.axes in
-        let max_k = List.fold_left (fun acc a -> max acc (extent a)) 1 axes in
-        (* Best candidate at chunk count [k]: the (worst-footprint,
-           plans) pair of the axis whose worst chunk is smallest. *)
-        let candidate k =
-          List.fold_left
-            (fun acc axis ->
-               let n = min k (extent axis) in
-               if n <= 1 then acc
-               else
-                 let plans =
-                   List.map plan_of (Partition.split p ~axis ~n)
-                 in
-                 let worst =
-                   List.fold_left
-                     (fun acc c -> max acc (footprint c))
-                     0 plans
-                 in
-                 match acc with
-                 | Some (w, _) when w <= worst -> acc
-                 | _ -> Some (worst, plans))
-            None axes
-        in
-        let rec search k best =
-          if k > max_k then best
-          else
-            match candidate k with
-            | Some (worst, plans) when worst <= mem_cap ->
-              `Fits plans
-            | Some (worst, plans) -> search (k * 2) (`Best (worst, plans))
-            | None -> best
-        in
-        match search (max 2 min_chunks) `None with
-        | `Fits plans -> { pp with Launch_cache.pp_chunks = plans }
-        | `Best (_, plans) ->
-          (* Even single-block-wide chunks do not fit: report the
-             tightest chunk we could make. *)
-          let worst_chunk =
-            List.fold_left
-              (fun acc c ->
-                 match acc with
-                 | Some b when footprint b >= footprint c -> acc
-                 | _ -> Some c)
-              None plans
-          in
-          infeasible (Option.value ~default:pp worst_chunk)
-        | `None -> infeasible pp
-      end
+        let need = footprint tightest in
+        failwith
+          (Printf.sprintf
+             "Multi_gpu: kernel %s is infeasible under the device memory \
+              capacity: smallest chunk still needs %d bytes on device %d \
+              (largest buffer %s: %d bytes) but the capacity is %d, \
+              %d bytes short"
+             kernel.Kir.name need tightest.Launch_cache.pp_part.Partition.device
+             buf bufbytes mem_cap (need - mem_cap))
     in
-    let pl_partitions =
-      if not capped then pl_partitions else List.map chunk_plan pl_partitions
-    in
+    let chunks = if capped then List.map chunk_plan pps else [] in
+    let chunked = List.exists (fun cs -> cs <> []) chunks in
     (* When any partition launches in chunks, its trackers update
        eagerly between chunks, so another device's read of data this
        launch writes would observe post-launch data instead of the
        barrier-synchronized pre-launch data.  The polyhedral ranges
        tell us statically whether that can happen; refuse if so. *)
-    if
-      List.exists
-        (fun pp -> pp.Launch_cache.pp_chunks <> [])
-        pl_partitions
-    then begin
-      let overlaps r1 r2 =
-        List.exists
-          (fun (s1, e1) ->
-             List.exists (fun (s2, e2) -> s1 < e2 && s2 < e1) r2)
-          r1
-      in
-      List.iter
-        (fun (wp : Launch_cache.partition_plan) ->
-           List.iter
-             (fun (rp : Launch_cache.partition_plan) ->
-                if
-                  wp.Launch_cache.pp_part.Partition.device
-                  <> rp.Launch_cache.pp_part.Partition.device
-                then
-                  List.iter
-                    (fun (w : Launch_cache.ranges) ->
-                       List.iter
-                         (fun (r : Launch_cache.ranges) ->
-                            if
-                              w.Launch_cache.rg_buf = r.Launch_cache.rg_buf
-                              && overlaps w.Launch_cache.rg_ranges
-                                   r.Launch_cache.rg_ranges
-                            then
-                              failwith
-                                (Printf.sprintf
-                                   "Multi_gpu: kernel %s cannot be \
-                                    chunked under memory pressure: \
-                                    device %d reads parts of buffer %s \
-                                    that device %d writes in the same \
-                                    launch; raise the capacity"
-                                   kernel.Kir.name
-                                   rp.Launch_cache.pp_part.Partition.device
-                                   w.Launch_cache.rg_buf
-                                   wp.Launch_cache.pp_part.Partition.device))
-                         rp.Launch_cache.pp_reads)
-                    wp.Launch_cache.pp_writes)
-             pl_partitions)
-        pl_partitions
+    if chunked then begin
+      (match Launch_cache.raw_conflict pps with
+       | Some (reader, buf, writer) ->
+         failwith
+           (Printf.sprintf
+              "Multi_gpu: kernel %s cannot be chunked under memory \
+               pressure: device %d reads parts of buffer %s that device %d \
+               writes in the same launch; raise the capacity"
+              kernel.Kir.name reader buf writer)
+       | None -> ());
+      if ck.ck_shadow <> None then
+        failwith
+          (Printf.sprintf
+             "Multi_gpu: kernel %s needs instrumented write collection, \
+              which memory-pressure chunking does not support; raise the \
+              capacity"
+             kernel.Kir.name)
     end;
-    (* Record the winner's halo schedule (if any) for the Repeat
-       executor, under the same key the plan is cached under. *)
-    (match choice with
-     | Some ch ->
-       let key = key_of kernel grid block args in
-       (match ch.Autotune.c_winner.Autotune.halo with
-        | Some hp -> Hashtbl.replace halo_infos key hp
-        | None -> Hashtbl.remove halo_infos key)
-     | None -> ());
-    {
-      Launch_cache.pl_arg_arrays = arg_arrays;
-      pl_partitions;
-      pl_predicted_s =
-        (match choice with
-         | Some ch -> ch.Autotune.c_winner.Autotune.score
-         | None -> 0.0);
-      pl_choice =
-        (match choice with
-         | Some ch -> Autotune.shape_name ch.Autotune.c_winner.Autotune.shape
-         | None -> "");
-      pl_halo =
-        (match choice with
-         | Some ch -> Autotune.halo_depth ch.Autotune.c_winner
-         | None -> 0);
-    }
-  in
-  let exec_launch kernel grid block args =
-    let ck =
-      match Hashtbl.find_opt compiled_tbl kernel.Kir.name with
-      | Some ck -> ck
-      | None ->
-        invalid_arg ("Multi_gpu: unlinked kernel " ^ kernel.Kir.name)
-    in
-    let km = ck.ck_model in
-    let key = key_of kernel grid block args in
-    let min_chunks = Option.value ~default:1 (Hashtbl.find_opt forced key) in
-    let plan =
-      if cache then
-        Launch_cache.find_or_build !plan_cache key ~build:(fun () ->
-            build_plan ~min_chunks ck kernel grid block args)
-      else build_plan ~min_chunks ck kernel grid block args
-    in
-    let arg_arrays = plan.Launch_cache.pl_arg_arrays in
-    let partitions = plan.Launch_cache.pl_partitions in
-    let any_chunked =
-      List.exists
-        (fun (pp : Launch_cache.partition_plan) ->
-           pp.Launch_cache.pp_chunks <> [])
-        partitions
-    in
-    if any_chunked && ck.ck_shadow <> None then
-      failwith
-        (Printf.sprintf
-           "Multi_gpu: kernel %s needs instrumented write collection, \
-            which memory-pressure chunking does not support; raise the \
-            capacity"
-           kernel.Kir.name);
-    (* Reducible execution (DESIGN.md §20): atomic read-modify-writes
-       on each reducible array are redirected into partition-local
-       accumulators over the operator's identity, then merged into the
-       host-gathered base in ascending partition order.  The merge
-       order is fixed no matter how devices skew, so every run of one
-       (data, device-count) point produces the same bits; the h2d
-       writeback makes the host authoritative, which corrects the
-       trackers' per-partition write claims on the overlapping
-       elements.  This path engages at every device count — including
-       one — so grouping is a function of the partition shape alone. *)
-    let reducible =
-      match ck.ck_gate with Verify.Reducible red -> red | _ -> []
-    in
-    let functional = Gpusim.Machine.is_functional m in
-    let red_bases =
-      if reducible = [] then []
-      else begin
-        Gpusim.Machine.synchronize m;
-        List.map
-          (fun (arr, op) ->
-             let vb = find (List.assoc arr arg_arrays) in
-             let dst =
-               if functional then
-                 Some (Array.make (Gpu_runtime.Vbuf.len vb) 0.0)
-               else None
-             in
-             let ops, () =
-               with_tracker_ops vb (fun () ->
-                   Gpu_runtime.Vbuf.d2h ~cfg vb ~dst)
-             in
-             charge ~tracker_ops:ops ~ranges:0 ~dispatches:0;
-             (arr, op, dst))
-          reducible
-      end
-    in
-    let red_acc =
-      if reducible = [] || not functional then None
-      else
-        Some
-          (Array.of_list
-             (List.map
-                (fun (_ : Launch_cache.partition_plan) ->
-                   List.map
-                     (fun (arr, op) ->
-                        let len =
-                          Gpu_runtime.Vbuf.len
-                            (find (List.assoc arr arg_arrays))
-                        in
-                        ( arr,
-                          ( Array.make len (reduce_identity op),
-                            Array.make len false ) ))
-                     reducible)
-                partitions))
-    in
-    let redirect_of index =
-      match red_acc with
-      | None -> None
-      | Some accs -> Some (fun a -> List.assoc_opt a accs.(index))
-    in
-    let pool = pool_of () in
     (* Segment batching (p2p_multi packing) was introduced for the
        fragmented transfers of 2-D tiles, and autotuned runs keep it
        for every shape that departs from the seed's — the packed copy
@@ -1094,97 +910,193 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
        there. *)
     let batch =
       tiling = `Two_d
-      || tune_enabled
-         && (plan.Launch_cache.pl_halo >= 2
-             || not (Autotune.seed_shape_name plan.Launch_cache.pl_choice))
+      ||
+      match choice with
+      | Some ch ->
+        Autotune.halo_depth ch.Autotune.c_winner >= 2
+        || not
+             (Autotune.seed_shape_name
+                (Autotune.shape_name ch.Autotune.c_winner.Autotune.shape))
+      | None -> false
     in
-    let sync_reads ?stamp pp = sync_pp_reads ?stamp ~pool ~batch pp in
-    let update_writes ?stamp pp = update_pp_writes ?stamp ~pool pp in
-    let launch_partition ~index pp =
-      launch_pp ?redirect:(redirect_of index) ck ~arg_arrays ~block pp
+    let stage = Launch_cache.stage ~batch in
+    let dev (pp : Launch_cache.partition_plan) = pp.pp_part.Partition.device in
+    let reads pp = (dev pp, pp.Launch_cache.pp_reads)
+    and writes pp = (dev pp, pp.Launch_cache.pp_writes) in
+    let slots = List.mapi (fun slot pp -> (slot, pp)) pps in
+    (* Overlap mode drops the host barrier between the exchange and the
+       launches.  Correctness does not need it: the copy engines are
+       in-order, so each partition's kernel (which waits on its
+       device's engines, default-stream ordering) observes every fetch
+       issued for it, and the exchange was *fully issued* before any
+       launch — kernels can never leak post-launch data into another
+       partition's fetch.  With the barrier gone, device k+1's halo
+       fetches overlap device k's kernel, host pattern work runs under
+       device compute, and the per-device pipelines skew freely;
+       functional results are bit-identical because functional data
+       moves at issue time, in the same order either way. *)
+    let main =
+      if not chunked then
+        (* §5's schedule: (2) synchronize all buffers read by the
+           kernel, barrier, (3) launch each partition on its device,
+           (4) update the trackers to account for the writes. *)
+        [
+          stage
+            ~fetch:(if patterns then List.map reads pps else [])
+            ~barrier:(not overlap) ~launches:slots
+            ~updates:(if patterns then List.map writes pps else [])
+            ();
+        ]
+      else
+        (* Memory-pressure chunks: the partition's footprint does not
+           fit its device, so after a leading sync (kept in overlap
+           mode: the eager updates rely on it) its chunks run
+           sequentially, each a stage doing fetch -> reserve -> launch
+           -> eager tracker update with the whole chunk working set
+           sharing one LRU stamp (so a chunk can never evict its own
+           segments while faulting others in).  The RAW guard above
+           made eager updates safe; same-device chunks run in ascending
+           block order, like the sequential executor does, and
+           accumulate into their parent partition's slot, so results
+           are bit-identical to the uncapped launch. *)
+        stage ~barrier:true ()
+        :: List.concat
+          (List.map2
+             (fun (slot, pp) cs ->
+                List.map
+                  (fun cp ->
+                     stage ~fetch:[ reads cp ] ~stamp:Launch_cache.Shared
+                       ~reserve:true ~launches:[ (slot, cp) ]
+                       ~updates:[ writes cp ] ())
+                  (if cs = [] then [ pp ] else cs))
+             slots chunks)
     in
-    let tune_t0 =
-      if tune_enabled && plan.Launch_cache.pl_predicted_s > 0.0 then
-        Some (Gpusim.Machine.elapsed m)
-      else None
+    (* Instrumented write-set collection (paper §11 fallback): the
+       shadow kernel runs once per partition, recording the exact
+       elements written, and those update the trackers. *)
+    let shadow =
+      match ck.ck_shadow with
+      | Some _ when patterns ->
+        if not functional then
+          invalid_arg
+            "Multi_gpu: instrumented writes require a functional machine";
+        [
+          stage ~launches:slots
+            ~collect:
+              (List.filter_map
+                 (fun (a : Model.array_model) ->
+                    if a.Model.write_instrumented then Some a.Model.arr
+                    else None)
+                 km.Model.arrays)
+            ();
+        ]
+      | _ -> []
     in
-    if not any_chunked then begin
-      (* (2) of §5: synchronize all buffers read by the kernel. *)
-      if cfg.Gpu_runtime.Rconfig.patterns then
-        span "sync_reads" (fun () ->
-            List.iter
-              (fun (pp : Launch_cache.partition_plan) ->
-                 sync_reads ~stamp:(Gpusim.Machine.lru_tick m) pp)
-              partitions);
-      (* Overlap mode drops the host barrier between the exchange and
-         the launches.  Correctness does not need it: the copy engines
-         are in-order, so each partition's kernel (which waits on its
-         device's engines, default-stream ordering) observes every
-         fetch issued for it, and the exchange was *fully issued*
-         before any launch (the phase order above) — kernels can never
-         leak post-launch data into another partition's fetch.  With
-         the barrier gone, device k+1's halo fetches overlap device
-         k's kernel, host pattern work runs under device compute, and
-         the per-device pipelines skew freely; functional results are
-         bit-identical because functional data moves at issue time, in
-         the same order either way. *)
-      if not overlap then
-        span "barrier" (fun () -> Gpusim.Machine.synchronize m);
-      (* (3): launch each partition on its device. *)
-      span "launch" (fun () ->
-          List.iteri
-            (fun index pp -> launch_partition ~index pp)
-            partitions);
-      (* (4): update the trackers to account for the writes. *)
-      if cfg.Gpu_runtime.Rconfig.patterns then
-        span "tracker_update" (fun () ->
-            List.iter
-              (fun (pp : Launch_cache.partition_plan) ->
-                 update_writes ~stamp:(Gpusim.Machine.lru_tick m) pp)
-              partitions)
-    end
-    else begin
-      (* Memory-pressure chunked path: the partition's footprint does
-         not fit its device, so its chunks run sequentially, each one
-         doing sync -> launch -> eager tracker update with the whole
-         chunk working set sharing one LRU stamp (so a chunk can never
-         evict its own segments while faulting others in).  The RAW
-         guard in [build_plan] made eager updates safe; same-device
-         chunks run in ascending block order, like the sequential
-         executor does, so functional results are bit-identical to the
-         uncapped launch. *)
-      incr chunked_launches;
-      span "chunked_launch" (fun () ->
-          Gpusim.Machine.synchronize m;
-          List.iteri
-            (fun index (pp : Launch_cache.partition_plan) ->
-               let chunk_list =
-                 match pp.Launch_cache.pp_chunks with
-                 | [] -> [ pp ]
-                 | chunks -> chunks
-               in
-               List.iter
-                 (fun (cp : Launch_cache.partition_plan) ->
-                    incr chunks_run;
-                    let stamp = Gpusim.Machine.lru_tick m in
-                    let dev =
-                      cp.Launch_cache.pp_part.Partition.device
-                    in
-                    sync_reads ~stamp cp;
-                    (* Reserve the write set before computing so the
-                       capacity is honest while the kernel runs. *)
-                    List.iter
-                      (fun { Launch_cache.rg_buf; rg_ranges; _ } ->
-                         Gpu_runtime.Vbuf.ensure_resident ~cfg ~pool
-                           ~stamp (find rg_buf) ~dev ~ranges:rg_ranges)
-                      cp.Launch_cache.pp_writes;
-                    (* Chunks accumulate into their parent partition's
-                       buffer: the merge order stays per-partition. *)
-                    launch_partition ~index cp;
-                    update_writes ~stamp cp)
-                 chunk_list)
-            partitions)
-    end;
+    (* Halo/overlapped tiling of [Repeat (iters, [Launch; Swap])]
+       stencil loops (DESIGN.md §18).  Per temporal block of [t <= depth]
+       steps: one exchange fetches the stale parts of each partition's
+       band widened by [t*h] elements per side on the input buffer, one
+       barrier orders it (unless overlap mode already dropped barriers),
+       then [t] widened launches run back-to-back with no per-step sync
+       — each step recomputes the apron redundantly instead of
+       exchanging, and devices skew freely within the block.  Validity:
+       at block start the fetch makes [band +- t*h] of the input fresh
+       everywhere; each step shrinks the valid margin by [h], so after
+       step [j] the output is valid on [band +- (t-j)*h] — in particular
+       every step's output is valid on its band (the tracker is told
+       exactly that), and the block's last step is valid on precisely
+       the band.  Garbage in the apron beyond the valid margin never
+       escapes: the next block's fetch overwrites it before any launch
+       reads it.  Results are bit-identical to the per-step schedule
+       because each band element sees the same dependency chain in the
+       same order.  Instrumented write collection is data-dependent and
+       per launch, and reducible accumulation needs its merge after
+       every launch: both keep the per-step schedule. *)
+    let halo =
+      match choice with
+      | Some { Autotune.c_winner = { Autotune.halo = Some hp; _ }; _ }
+        when halo_repeats_ok && hp.Autotune.hp_depth >= 2
+             && ck.ck_shadow = None
+             && (match ck.ck_gate with Verify.Reducible _ -> false | _ -> true)
+        ->
+        Some
+          (Launch_cache.halo ~batch ~barrier:(not overlap) ~plan_of ~grid
+             ~axis:hp.Autotune.hp_axis
+             ~depth:hp.Autotune.hp_depth ~halo_elems:hp.Autotune.hp_halo_elems
+             ~read_buf:hp.Autotune.hp_read_buf
+             ~write_buf:hp.Autotune.hp_write_buf pps)
+      | _ -> None
+    in
+    {
+      Launch_cache.pl_arg_arrays = arg_arrays;
+      pl_slots = List.length pps;
+      pl_stages = main @ shadow;
+      pl_chunked = chunked;
+      pl_halo = halo;
+      pl_predicted_s =
+        (match choice with
+         | Some ch -> ch.Autotune.c_winner.Autotune.score
+         | None -> 0.0);
+    }
+  in
+  let ck_of kernel =
+    try Hashtbl.find compiled_tbl kernel.Kir.name
+    with Not_found -> invalid_arg ("Multi_gpu: unlinked kernel " ^ kernel.Kir.name)
+  in
+  let lookup kernel grid block args =
+    let ck = ck_of kernel in
+    let key = key_of kernel grid block args in
+    let build () =
+      build_plan ?min_chunks:(Hashtbl.find_opt forced key) ck kernel grid
+        block args
+    in
+    (ck, if cache then Launch_cache.find_or_build plan_cache key ~build else build ())
+  in
+  (* Issue one host launch: its plan's stages, wrapped for reducible
+     kernels in a gather and a merge (DESIGN.md §20).  Atomic
+     read-modify-writes on each reducible array are redirected into
+     partition-local accumulators over the operator's identity, then
+     merged into the host-gathered base in ascending partition order.
+     The merge order is fixed no matter how devices skew, so every run
+     of one (data, device-count) point produces the same bits; the h2d
+     writeback makes the host authoritative, which corrects the
+     trackers' per-partition write claims on the overlapping elements.
+     This path engages at every device count — including one — so
+     grouping is a function of the partition shape alone. *)
+  let issue ck ~block (plan : Launch_cache.plan) =
+    let arg_arrays = plan.Launch_cache.pl_arg_arrays in
+    let reducible =
+      match ck.ck_gate with Verify.Reducible red -> red | _ -> []
+    in
+    let bases =
+      if reducible = [] then []
+      else begin
+        Gpusim.Machine.synchronize m;
+        List.map
+          (fun (arr, op) -> (arr, op, gather (find (List.assoc arr arg_arrays))))
+          reducible
+      end
+    in
+    let accs =
+      if reducible = [] || not functional then [||]
+      else
+        Array.init plan.Launch_cache.pl_slots (fun _ ->
+            List.map
+              (fun (arr, op) ->
+                 let len =
+                   Gpu_runtime.Vbuf.len (find (List.assoc arr arg_arrays))
+                 in
+                 (arr, (Array.make len (reduce_identity op), Array.make len false)))
+              reducible)
+    in
+    let redirect_of slot =
+      if Array.length accs = 0 then no_redirect
+      else fun a -> List.assoc_opt a accs.(slot)
+    in
+    if plan.Launch_cache.pl_chunked then
+      mem := { !mem with mr_chunked_launches = !mem.mr_chunked_launches + 1 };
+    let tuned = tune_enabled && plan.Launch_cache.pl_predicted_s > 0.0 in
+    let tune_t0 = if tuned then Gpusim.Machine.elapsed m else 0.0 in
     (* Reducible merge: fold every partition's touched accumulator
        elements into the host base in ascending partition order, then
        scatter the result back.  Untouched elements keep the base's
@@ -1193,375 +1105,156 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
        retry resumes ([pending_tail]), each base scattered until its
        scatter completes once. *)
     let unscattered = ref [] in
-    if reducible <> [] then
-      span "reduce_merge" (fun () ->
-          Gpusim.Machine.synchronize m;
-          incr gate_merges;
-          List.iter
-            (fun (arr, op, base) ->
-               match (base, red_acc) with
-               | Some base, Some accs ->
-                 let combine = reduce_combine op in
-                 Array.iter
-                   (fun per_pp ->
-                      let acc, touched = List.assoc arr per_pp in
-                      Array.iteri
-                        (fun off t ->
-                           if t then begin
-                             base.(off) <- combine base.(off) acc.(off);
-                             incr gate_merged_elems
-                           end)
-                        touched)
-                   accs
-               | _ -> ())
-            red_bases;
-          unscattered := red_bases);
     let tail () =
       if reducible <> [] then
         span "reduce_scatter" (fun () ->
             while !unscattered <> [] do
               let arr, _, base = List.hd !unscattered in
-              let vb = find (List.assoc arr arg_arrays) in
-              let ops, () =
-                with_tracker_ops vb (fun () ->
-                    Gpu_runtime.Vbuf.h2d ~cfg ~pool:(pool_of ()) vb
-                      ~src:base)
-              in
-              charge ~tracker_ops:ops ~ranges:0 ~dispatches:0;
+              upload (find (List.assoc arr arg_arrays)) base;
               unscattered := List.tl !unscattered
             done;
             Gpusim.Machine.synchronize m);
-      (* (4b): instrumented write-set collection (paper §11 fallback).
-         The shadow kernel runs once per partition, recording the exact
-         elements written; a dynamic check rejects cross-partition
-         write-after-write hazards, then the trackers are updated. *)
-      (match ck.ck_shadow with
-       | Some shadow when cfg.Gpu_runtime.Rconfig.patterns ->
-         span "shadow" @@ fun () ->
-         if not (Gpusim.Machine.is_functional m) then
-           invalid_arg
-             "Multi_gpu: instrumented writes require a functional machine";
-         let instrumented =
-           List.filter_map
-             (fun (a : Model.array_model) ->
-                if a.Model.write_instrumented then Some a.Model.arr else None)
-             km.Model.arrays
-         in
-         let per_array : (string, (int * (int * int) list) list ref) Hashtbl.t =
-           Hashtbl.create 4
-         in
-         List.iter (fun a -> Hashtbl.replace per_array a (ref [])) instrumented;
-         List.iter
-           (fun (pp : Launch_cache.partition_plan) ->
-              let dev = pp.Launch_cache.pp_part.Partition.device in
-              let buffer_of name =
-                Gpu_runtime.Vbuf.instance (find (List.assoc name arg_arrays))
-                  dev
-              in
-              (* The collected write sets are data-dependent (that is why
-                 the array needed instrumentation): they are never
-                 cached, only the shadow launch's static parameters are. *)
-              let collected = ref [] in
-              charge ~tracker_ops:0 ~ranges:0 ~dispatches:1;
-              Gpusim.Machine.launch m ~device:dev
-                ~blocks:pp.Launch_cache.pp_n_blocks
-                ~ops_per_block:pp.Launch_cache.pp_shadow_cost
-                ~run:(fun () ->
-                  let launch_grid = pp.Launch_cache.pp_launch_grid in
-                  let scalar_args = pp.Launch_cache.pp_scalar_args in
-                  let compiled, freshness =
-                    Launch_cache.find_or_compile !plan_cache
-                      {
-                        Launch_cache.ck_kernel = shadow.Kir.name;
-                        ck_grid = launch_grid;
-                        ck_block = block;
-                        ck_args = scalar_args;
-                      }
-                      ~compile:(fun () ->
-                        Kcompile.compile shadow ~grid:launch_grid ~block
-                          ~args:scalar_args)
-                  in
-                  (match freshness with
-                   | `Hit ->
-                     exec_stats.Kcompile.st_cache_hits <-
-                       exec_stats.Kcompile.st_cache_hits + 1
-                   | `Miss ->
-                     exec_stats.Kcompile.st_compiles <-
-                       exec_stats.Kcompile.st_compiles + 1);
-                  (match compiled with
-                   | Ok _ ->
-                     exec_stats.Kcompile.st_seq <-
-                       exec_stats.Kcompile.st_seq + 1
-                   | Error _ ->
-                     exec_stats.Kcompile.st_interpreted <-
-                       exec_stats.Kcompile.st_interpreted + 1);
-                  collected :=
-                    Instrument.collect_writes ~compiled:(Some compiled) ~shadow
-                      ~grid:launch_grid ~block ~args:scalar_args
-                      ~arrays:instrumented
-                      ~load:(fun a off ->
-                          (Gpusim.Buffer.data_exn (buffer_of a)).(off)));
-              List.iter
-                (fun (arr, ranges) ->
-                   let slot = Hashtbl.find per_array arr in
-                   slot := (dev, ranges) :: !slot;
-                   charge ~tracker_ops:0 ~ranges:(List.length ranges)
-                     ~dispatches:0)
-                !collected)
-           partitions;
-         List.iter
-           (fun arr ->
-              let per_dev = !(Hashtbl.find per_array arr) in
-              Instrument.check_disjoint ~arr per_dev;
-              let bufname = List.assoc arr arg_arrays in
-              let vb = find bufname in
-              List.iter
-                (fun (dev, ranges) ->
-                   let ops, () =
-                     with_tracker_ops vb (fun () ->
-                         Gpu_runtime.Vbuf.update_for_write ~cfg vb ~dev ~ranges)
-                   in
-                   charge ~tracker_ops:ops ~ranges:0 ~dispatches:0)
-                per_dev)
-           instrumented
-       | _ -> ());
       (* Calibration: compare the autotuner's predicted per-launch
          seconds against the makespan this launch actually added (latest
          engine time, so async kernel completions are included). *)
-      (match tune_t0 with
-       | Some t0 ->
-         record_tune ~predicted:plan.Launch_cache.pl_predicted_s
-           ~actual:(Gpusim.Machine.elapsed m -. t0)
-       | None -> ());
+      if tuned then
+        record_tune ~predicted:plan.Launch_cache.pl_predicted_s
+          ~actual:(Gpusim.Machine.elapsed m -. tune_t0) ();
       pending_tail := None
     in
-    if reducible <> [] then pending_tail := Some tail;
-    tail ()
+    (* A transient fault inside a memory chunk of a non-reducible launch
+       resumes at that chunk ([pending_chunks]) instead of re-running
+       the chunks already done, and one after the last chunk (in the
+       checkpoint that may follow the statement) resumes at nothing: a
+       capped launch can hold more fault-prone operations than a whole
+       attempt gets through under steady transient faults.  Re-running
+       one chunk is idempotent like re-running the statement; a
+       reducible chunk's kernel may already have accumulated, so
+       reducible launches restart whole. *)
+    let resumable = plan.Launch_cache.pl_chunked && reducible = [] in
+    let rec from stages =
+      match stages with
+      | [] ->
+        if reducible <> [] then begin
+          span "reduce_merge" (fun () ->
+              Gpusim.Machine.synchronize m;
+              incr gate_merges;
+              List.iter
+                (fun (arr, op, base) ->
+                   match base with
+                   | Some base ->
+                     let combine = reduce_combine op in
+                     Array.iter
+                       (fun per_slot ->
+                          let acc, touched = List.assoc arr per_slot in
+                          Array.iteri
+                            (fun off t ->
+                               if t then begin
+                                 base.(off) <- combine base.(off) acc.(off);
+                                 incr gate_merged_elems
+                               end)
+                            touched)
+                       accs
+                   | None -> ())
+                bases;
+              unscattered := bases);
+          pending_tail := Some tail
+        end;
+        tail ();
+        if resumable then pending_chunks := Some ignore
+      | sg :: rest ->
+        if resumable then pending_chunks := Some (fun () -> from stages);
+        issue_stage ck ~arg_arrays ~block ~redirect_of sg;
+        from rest
+    in
+    from plan.Launch_cache.pl_stages
   in
-  (* Halo/overlapped-tiled execution of [Repeat (iters, [Launch; Swap])]
-     stencil loops (DESIGN.md §18).  Per temporal block of [t <= depth]
-     steps: one exchange fetches the stale parts of each partition's
-     band widened by [t*h] elements per side on the input buffer, one
-     barrier orders it (unless overlap mode already dropped barriers),
-     then [t] widened launches run back-to-back with no per-step sync —
-     each step recomputes the apron redundantly instead of exchanging,
-     and devices skew freely within the block.  Validity: at block
-     start the fetch makes [band +- t*h] of the input fresh everywhere;
-     each step shrinks the valid margin by [h], so after step [j] the
-     output is valid on [band +- (t-j)*h] — in particular every step's
-     output is valid on its band (the tracker claims exactly that), and
-     the block's last step is valid on precisely the band.  Garbage in
-     the apron beyond the valid margin never escapes: the next block's
-     fetch overwrites it before any launch reads it.  Functional
-     results are bit-identical to the per-step schedule because each
-     band element sees the same dependency chain in the same order. *)
+  let swap a b =
+    let va = find a and vb = find b in
+    Hashtbl.replace vbufs a vb;
+    Hashtbl.replace vbufs b va
+  in
+  (* A double-buffered stencil loop run whole and temporally blocked
+     when the plan carries a halo schedule; [false] when it does not, and
+     the loop runs exactly as the flattened engine would run it. *)
   let exec_halo kernel grid block args ~iters ~swap:(sx, sy) =
-    let ck =
-      match Hashtbl.find_opt compiled_tbl kernel.Kir.name with
-      | Some ck -> ck
-      | None ->
-        invalid_arg ("Multi_gpu: unlinked kernel " ^ kernel.Kir.name)
-    in
-    let key = key_of kernel grid block args in
-    let plan =
-      if cache then
-        Launch_cache.find_or_build !plan_cache key ~build:(fun () ->
-            build_plan ck kernel grid block args)
-      else build_plan ck kernel grid block args
-    in
-    let exec_swap () =
-      let va = find sx and vb = find sy in
-      Hashtbl.replace vbufs sx vb;
-      Hashtbl.replace vbufs sy va
-    in
-    let hp =
-      (* Instrumented write collection (paper §11) is data-dependent
-         and per-launch, and reducible accumulation needs its merge
-         phase after every launch; both compose with the per-step
-         schedule only. *)
-      if
-        plan.Launch_cache.pl_halo >= 2
-        && ck.ck_shadow = None
-        && (match ck.ck_gate with
-            | Verify.Reducible _ -> false
-            | _ -> true)
-      then Hashtbl.find_opt halo_infos key
-      else None
-    in
-    match hp with
-    | None ->
-      (* The winner is a per-step schedule: run the loop exactly as the
-         flattened engine would. *)
-      for _ = 1 to iters do
-        exec_launch kernel grid block args;
-        exec_swap ()
-      done
-    | Some hp ->
-      let arg_arrays = plan.Launch_cache.pl_arg_arrays in
-      let partitions = plan.Launch_cache.pl_partitions in
-      let h = hp.Autotune.hp_halo_elems in
-      (* Widened launch plans: one extra block row of redundant compute
-         per side along the split axis.  Reads/writes stay on the base
-         plan — the tracker is only ever told about the band. *)
-      let widened =
-        List.map
-          (fun (pp : Launch_cache.partition_plan) ->
-             let p =
-               Partition.widen pp.Launch_cache.pp_part ~grid
-                 ~axis:hp.Autotune.hp_axis ~blocks:1
-             in
-             let part_args = args @ Partition.partition_args p in
-             let scalar_env =
-               Host_ir.scalar_bindings ck.ck_partitioned part_args
-             in
-             ( pp,
-               {
-                 pp with
-                 Launch_cache.pp_part = p;
-                 pp_reads = [];
-                 pp_writes = [];
-                 pp_launch_grid = Partition.launch_grid p;
-                 pp_n_blocks = Partition.n_blocks p;
-                 pp_part_args = part_args;
-                 pp_scalar_args = Host_ir.scalar_args part_args;
-                 pp_ops_per_block =
-                   Costmodel.ops_per_block ck.ck_partitioned ~scalar_env
-                     ~block;
-               } ))
-          partitions
-      in
-      let band (pp : Launch_cache.partition_plan) =
-        match
-          List.find_opt
-            (fun (r : Launch_cache.ranges) ->
-               r.Launch_cache.rg_buf = hp.Autotune.hp_write_buf)
-            pp.Launch_cache.pp_writes
-        with
-        | Some { Launch_cache.rg_ranges = [ (s, e) ]; _ } -> (s, e)
-        | _ ->
-          (* Eligibility guaranteed dense single-range bands. *)
-          assert false
+    let ck, plan = lookup kernel grid block args in
+    match plan.Launch_cache.pl_halo with
+    | None -> false
+    | Some ha ->
+      let issue_stage =
+        issue_stage ck ~arg_arrays:plan.Launch_cache.pl_arg_arrays ~block
+          ~redirect_of:(fun _ -> no_redirect)
       in
       let steps_done = ref 0 in
       while !steps_done < iters do
-        let t = min hp.Autotune.hp_depth (iters - !steps_done) in
-        incr halo_blocks;
-        halo_steps := !halo_steps + t;
+        let t = min ha.Launch_cache.ha_depth (iters - !steps_done) in
         let tune_t0 = Gpusim.Machine.elapsed m in
-        (* One exchange for the whole temporal block: the stale parts
-           of each band widened by t*h on the *input* buffer.  The
-           neighbors' copies of their own bands are always valid (they
-           own them), so every fetched byte is fresh. *)
-        span "halo_exchange" (fun () ->
-            let pool = pool_of () in
-            let stamp = Gpusim.Machine.lru_tick m in
-            let vb = find hp.Autotune.hp_read_buf in
-            let len = Gpu_runtime.Vbuf.len vb in
-            List.iter
-              (fun ((pp : Launch_cache.partition_plan), _) ->
-                 let ws, we = band pp in
-                 let lo = max 0 (ws - (t * h))
-                 and hi = min len (we + (t * h)) in
-                 let ops, transfers =
-                   with_tracker_ops vb (fun () ->
-                       Gpu_runtime.Vbuf.sync_for_read ~cfg ~batch:true
-                         ~pool ~stamp vb
-                         ~dev:pp.Launch_cache.pp_part.Partition.device
-                         ~ranges:[ (lo, hi) ])
-                 in
-                 total_transfers := !total_transfers + transfers;
-                 charge ~tracker_ops:ops ~ranges:1 ~dispatches:0)
-              widened);
-        if not overlap then
-          span "barrier" (fun () -> Gpusim.Machine.synchronize m);
-        for _step = 1 to t do
-          span "launch" (fun () ->
-              List.iter
-                (fun (_, wp) -> launch_pp ck ~arg_arrays ~block wp)
-                widened);
-          span "tracker_update" (fun () ->
-              let pool = pool_of () in
-              let stamp = Gpusim.Machine.lru_tick m in
-              List.iter
-                (fun (pp, _) -> update_pp_writes ~stamp ~pool pp)
-                widened);
-          exec_swap ()
+        issue_stage ha.Launch_cache.ha_fetch.(t - 1);
+        for _ = 1 to t do
+          issue_stage ha.Launch_cache.ha_step;
+          swap sx sy
         done;
-        record_tune
+        record_tune ~halo_steps:t
           ~predicted:(plan.Launch_cache.pl_predicted_s *. float_of_int t)
-          ~actual:(Gpusim.Machine.elapsed m -. tune_t0);
+          ~actual:(Gpusim.Machine.elapsed m -. tune_t0) ();
         steps_done := !steps_done + t
-      done
+      done;
+      true
   in
-  let rec exec (s : Host_ir.stmt) =
+  (* A double-buffered stencil loop kept whole so the halo executor can
+     temporally block it: only when the features that index into the
+     flattened stream (healing checkpoints, preemption, resume) and
+     memory chunking are off — [halo_repeats_ok] — so the program
+     counter still means what they expect everywhere else. *)
+  let halo_loop (s : Host_ir.stmt) =
     match s with
-    | Host_ir.Malloc (name, len) ->
-      Hashtbl.replace vbufs name (Gpu_runtime.Vbuf.create m ~name ~len)
-    | Host_ir.Memcpy_h2d { dst; src } ->
-      let vb = find dst in
-      let ops, () =
-        with_tracker_ops vb (fun () ->
-            Gpu_runtime.Vbuf.h2d ~cfg ~pool:(pool_of ()) vb
-              ~src:src.Host_ir.data)
-      in
-      charge ~tracker_ops:ops ~ranges:0 ~dispatches:0
-    | Host_ir.Memcpy_d2h { dst; src } ->
-      let vb = find src in
-      Gpusim.Machine.synchronize m;
-      let ops, () =
-        with_tracker_ops vb (fun () ->
-            Gpu_runtime.Vbuf.d2h ~cfg vb ~dst:dst.Host_ir.data)
-      in
-      charge ~tracker_ops:ops ~ranges:0 ~dispatches:0;
-      Gpusim.Machine.synchronize m
-    | Host_ir.Launch { kernel; grid; block; args } ->
-      exec_launch kernel grid block args
     | Host_ir.Repeat
         ( n,
           [ Host_ir.Launch { kernel; grid; block; args };
             Host_ir.Swap (sx, sy) ] )
       when halo_repeats_ok && n > 1 ->
-      (* A double-buffered stencil loop kept whole by the flattening:
-         route through the halo executor (which falls back to the
-         per-step schedule when the autotuned winner has no halo). *)
-      exec_halo kernel grid block args ~iters:n ~swap:(sx, sy)
+      Some (fun () -> exec_halo kernel grid block args ~iters:n ~swap:(sx, sy))
+    | _ -> None
+  in
+  let rec exec (s : Host_ir.stmt) =
+    match s with
+    | Host_ir.Malloc (name, len) ->
+      Hashtbl.replace vbufs name (Gpu_runtime.Vbuf.create m ~name ~len)
+    | Host_ir.Memcpy_h2d { dst; src } -> upload (find dst) src.Host_ir.data
+    | Host_ir.Memcpy_d2h { dst; src } ->
+      Gpusim.Machine.synchronize m;
+      ignore (gather ~dst:dst.Host_ir.data (find src));
+      Gpusim.Machine.synchronize m
+    | Host_ir.Launch { kernel; grid; block; args } ->
+      let ck, plan = lookup kernel grid block args in
+      issue ck ~block plan
     | Host_ir.Repeat (n, body) ->
-      for _ = 1 to n do
-        List.iter exec body
-      done
-    | Host_ir.Swap (a, b) ->
-      let va = find a and vb = find b in
-      Hashtbl.replace vbufs a vb;
-      Hashtbl.replace vbufs b va
+      if not (Option.fold ~none:false ~some:(fun run -> run ()) (halo_loop s))
+      then
+        for _ = 1 to n do
+          List.iter exec body
+        done
+    | Host_ir.Swap (a, b) -> swap a b
     | Host_ir.Free name ->
       Gpu_runtime.Vbuf.free (find name);
       Hashtbl.remove vbufs name
     | Host_ir.Sync -> Gpusim.Machine.synchronize m
   in
-  (* Flatten the statement stream (Repeat bodies expanded) so execution
-     has a program counter: checkpoints record an index to replay from.
-     Re-executing a statement from its start is idempotent — h2d
-     re-scatters the same source, launches recompute the same values
-     from the same synchronized inputs, tracker updates converge —
-     which is what makes both retry and replay safe.  The one
-     exception is a reducible launch past its merge (the base already
-     holds the merged values); a retry resumes its [pending_tail]
-     instead. *)
+  (* Flatten the statement stream (Repeat bodies expanded, halo loops
+     kept whole) so execution has a program counter: checkpoints record
+     an index to replay from.  Re-executing a statement from its start
+     is idempotent — h2d re-scatters the same source, launches
+     recompute the same values from the same synchronized inputs,
+     tracker updates converge — which is what makes both retry and
+     replay safe.  The one exception is a reducible launch past its
+     merge (the base already holds the merged values); a retry resumes
+     its [pending_tail] instead. *)
   let stmts =
     let acc = ref [] in
     let rec go (s : Host_ir.stmt) =
       match s with
-      | Host_ir.Repeat
-          (n, [ Host_ir.Launch _; Host_ir.Swap _ ])
-        when halo_repeats_ok && n > 1 ->
-        (* A double-buffered stencil loop stays whole so the halo
-           executor can temporally block it.  Kept only when the
-           features that index into the flattened stream (healing
-           checkpoints, preemption, resume) and memory chunking are
-           off — [halo_repeats_ok] — so the program counter still
-           means what they expect everywhere else. *)
-        acc := s :: !acc
-      | Host_ir.Repeat (n, body) ->
+      | Host_ir.Repeat (n, body) when Option.is_none (halo_loop s) ->
         for _ = 1 to n do List.iter go body done
       | s -> acc := s :: !acc
     in
@@ -1571,9 +1264,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   (* An engine checkpoint: the statement index to resume from plus a
      snapshot of every buffer binding.  [None] means "replay from the
      beginning with no buffers" — statement 0 re-mallocs everything. *)
-  let ckpt : (int * (string * Gpu_runtime.Vbuf.t * Gpu_runtime.Vbuf.snapshot) list) option ref =
-    ref None
-  in
+  let ckpt = ref None in
   let take_checkpoint index =
     span "checkpoint" @@ fun () ->
     let bufs =
@@ -1585,6 +1276,14 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
        transfer time and consume the fault stream. *)
     let bufs = List.sort (fun (a, _, _) (b, _, _) -> compare a b) bufs in
     ckpt := Some (index, bufs)
+  in
+  (* Install the run's starting state; returns the index to run from. *)
+  let start () =
+    match resume with
+    | Some h ->
+      install_resume h;
+      h.h_index
+    | None -> 0
   in
   let restore_checkpoint () =
     span "replay" @@ fun () ->
@@ -1602,16 +1301,12 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
            Hashtbl.replace vbufs name vb)
         bufs;
       index
-    | None -> (
-        Hashtbl.iter (fun _ vb -> Gpu_runtime.Vbuf.free vb) vbufs;
-        Hashtbl.reset vbufs;
-        (* A resumed run's earliest recovery point is its handoff: the
-           buffers it restored are this segment's "beginning". *)
-        match resume with
-        | Some h ->
-          install_resume h;
-          h.h_index
-        | None -> 0)
+    | None ->
+      Hashtbl.iter (fun _ vb -> Gpu_runtime.Vbuf.free vb) vbufs;
+      Hashtbl.reset vbufs;
+      (* A resumed run's earliest recovery point is its handoff: the
+         buffers it restored are this segment's "beginning". *)
+      start ()
   in
   (* Permanent loss: shrink the live set, drop every cached plan (they
      all name the dead device), re-home what the dead device owned onto
@@ -1620,18 +1315,18 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   let handle_loss dead =
     span "recovery" @@ fun () ->
     incr devices_lost;
+    pending_chunks := None;
     live := List.filter (fun d -> d <> dead) !live;
     if !live = [] then raise All_devices_lost;
     Gpusim.Machine.set_active_devices m (n_live ());
-    plan_cache := Launch_cache.create ();
-    let data_lost = ref false in
-    Hashtbl.iter
-      (fun _ vb ->
-         match Gpu_runtime.Vbuf.recover vb ~dev:dead ~live:!live with
-         | [] -> ()
-         | _ :: _ -> data_lost := true)
-      vbufs;
-    if !data_lost then begin
+    Launch_cache.clear_plans plan_cache;
+    let data_lost =
+      Hashtbl.fold
+        (fun _ vb lost ->
+           Gpu_runtime.Vbuf.recover vb ~dev:dead ~live:!live <> [] || lost)
+        vbufs false
+    in
+    if data_lost then begin
       incr replays;
       pending_tail := None;
       `Replay (restore_checkpoint ())
@@ -1640,16 +1335,11 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   in
   let n_stmts = Array.length stmts in
   let launches_since_ckpt = ref 0 in
-  let i =
-    ref
-      (match resume with
-       | Some h ->
-         if h.h_index < 0 || h.h_index > n_stmts then
-           invalid_arg "Multi_gpu.run_bounded: resume index out of range";
-         install_resume h;
-         h.h_index
-       | None -> 0)
-  in
+  (match resume with
+   | Some h when h.h_index < 0 || h.h_index > n_stmts ->
+     invalid_arg "Multi_gpu.run_bounded: resume index out of range"
+   | _ -> ());
+  let i = ref (start ()) in
   (* Preemption: gather every live buffer to the host (a checkpoint in
      handoff form) and stop.  The gather itself runs on the simulated
      machine, so it pays transfer time and can itself fault: transient
@@ -1660,27 +1350,12 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     try
       span "preempt" @@ fun () ->
       Gpusim.Machine.synchronize m;
-      let bufs =
-        List.sort
-          (fun (a, _) (b, _) -> compare a b)
-          (Hashtbl.fold (fun name vb acc -> (name, vb) :: acc) vbufs [])
-      in
       let captured =
         List.map
-          (fun (name, vb) ->
-             let len = Gpu_runtime.Vbuf.len vb in
-             let dst =
-               if Gpusim.Machine.is_functional m then
-                 Some (Array.make len 0.0)
-               else None
-             in
-             let ops, () =
-               with_tracker_ops vb (fun () ->
-                   Gpu_runtime.Vbuf.d2h ~cfg vb ~dst)
-             in
-             charge ~tracker_ops:ops ~ranges:0 ~dispatches:0;
-             (name, len, dst))
-          bufs
+          (fun (name, vb) -> (name, Gpu_runtime.Vbuf.len vb, gather vb))
+          (List.sort
+             (fun (a, _) (b, _) -> compare a b)
+             (Hashtbl.fold (fun name vb acc -> (name, vb) :: acc) vbufs []))
       in
       Gpusim.Machine.synchronize m;
       Some { h_index = !i; h_buffers = captured }
@@ -1698,18 +1373,19 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       None
   in
   let aborting () =
-    match abort_at with
-    | Some t -> Gpusim.Machine.elapsed m >= t
-    | None -> false
+    match abort_at with Some t -> Gpusim.Machine.elapsed m >= t | None -> false
   in
   let preempted = ref None in
   while !preempted = None && !i < n_stmts do
     if aborting () then preempted := preempt_now ()
     else begin
     let stmt = stmts.(!i) in
+    pending_chunks := None;
     let rec attempt ~tries ~spent =
       try
-        (match !pending_tail with Some tail -> tail () | None -> exec stmt);
+        (match (!pending_tail, !pending_chunks) with
+         | Some rest, _ | None, Some rest -> rest ()
+         | None, None -> exec stmt);
         if healing then begin
           (match stmt with
            | Host_ir.Launch _ -> incr launches_since_ckpt
@@ -1749,14 +1425,12 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
             in
             let next = max 2 (cur * 2) in
             Hashtbl.replace forced key next;
-            incr oom_refinements;
-            (match Hashtbl.find_opt compiled_tbl kernel.Kir.name with
-             | Some ck ->
-               let plan =
-                 build_plan ~min_chunks:next ck kernel grid block args
-               in
-               if cache then Launch_cache.replace !plan_cache key plan
-             | None -> ());
+            mem := { !mem with mr_oom_refinements = !mem.mr_oom_refinements + 1 };
+            pending_chunks := None;
+            if cache then
+              Launch_cache.replace plan_cache key
+                (build_plan ~min_chunks:next (ck_of kernel) kernel grid block
+                   args);
             attempt ~tries ~spent
           | _ ->
             failwith
@@ -1779,26 +1453,11 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       time = Gpusim.Machine.host_time m;
       transfers = !total_transfers;
       cache =
-        (if cache then Launch_cache.stats !plan_cache
+        (if cache then Launch_cache.stats plan_cache
          else Launch_cache.no_stats);
       exec = exec_stats;
-      mem =
-        {
-          mr_chunked_launches = !chunked_launches;
-          mr_chunks = !chunks_run;
-          mr_oom_refinements = !oom_refinements;
-        };
-      tune =
-        (if tune_enabled then
-           {
-             tn_launches = !tune_launches;
-             tn_predicted_s = !tune_pred;
-             tn_actual_s = !tune_act;
-             tn_err_hist = Array.copy tune_err_hist;
-             tn_halo_blocks = !halo_blocks;
-             tn_halo_steps = !halo_steps;
-           }
-         else no_tune);
+      mem = !mem;
+      tune = (if tune_enabled then !tune else no_tune);
       faults =
         (if healing then
            {
@@ -1811,20 +1470,16 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
            }
          else no_faults);
       gate =
-        (let s = ref 0 and r = ref 0 and ra = ref 0 and u = ref 0 in
-         Hashtbl.iter
-           (fun _ ck ->
-              match ck.ck_gate with
-              | Verify.Safe -> incr s
-              | Verify.Reducible _ -> incr r
-              | Verify.Racy _ -> incr ra
-              | Verify.Unknown _ -> incr u)
-           compiled_tbl;
+        (let count p =
+           Hashtbl.fold
+             (fun _ ck n -> if p ck.ck_gate then n + 1 else n)
+             compiled_tbl 0
+         in
          {
-           gr_safe = !s;
-           gr_reducible = !r;
-           gr_racy = !ra;
-           gr_unknown = !u;
+           gr_safe = count (function Verify.Safe -> true | _ -> false);
+           gr_reducible = count (function Verify.Reducible _ -> true | _ -> false);
+           gr_racy = count (function Verify.Racy _ -> true | _ -> false);
+           gr_unknown = count (function Verify.Unknown _ -> true | _ -> false);
            gr_merges = !gate_merges;
            gr_merged_elems = !gate_merged_elems;
          });

@@ -1,7 +1,14 @@
 (** The partitioned execution engine: runs a host program over all
     devices of a simulated machine, orchestrated exactly as the code
     the rewriter inserts (paper §5, Fig. 4): synchronize read sets,
-    barrier, launch the partitions, update the trackers. *)
+    barrier, launch the partitions, update the trackers.
+
+    Each launch's issue order is data: the cached launch plan holds a
+    list of {!Launch_cache.stage}s, each one pass of that schedule, and
+    one executor issues them.  A plain launch is one stage; memory
+    chunking, halo tiling and instrumented write collection are
+    rewrites into more stages, and reducible kernels wrap their stages
+    in a host gather and an ordered merge (DESIGN.md §13). *)
 
 type compiled_kernel = {
   ck_model : Model.kernel_model;

@@ -492,6 +492,126 @@ let prop_fault_bit_identity =
       ignore (run_multi_faulty ~devices:g ~spec prog);
       out = cpu ())
 
+(* ---------------- Knob combinations ---------------- *)
+
+(* Random subsets of the engine's knobs at once — overlap, a memory cap
+   at 3/4 of the run's own high-water mark, injected faults (2%
+   transients plus the loss of the last device half-way through), and
+   autotuning — over stencil, matmul and both reducible apps on 1, 2
+   and 4 devices.  Every case must reproduce the CPU reference bit for
+   bit, with the same simulated time whether the plan cache is on or
+   off.  The engine's typed refusals under a memory cap (a launch that
+   cannot be chunked, or is infeasible) count as passes. *)
+let knob_apps =
+  [|
+    ("hotspot", fun () -> Apps.Workloads.functional_hotspot ~n:64 ~iterations:5);
+    ("matmul", fun () -> Apps.Workloads.functional_matmul ~n:64);
+    ( "histogram",
+      fun () -> Apps.Workloads.functional_histogram ~n:1024 ~nbins:37 );
+    ("dot", fun () -> Apps.Workloads.functional_dot ~n:1024);
+  |]
+
+type knobs = {
+  kn_app : int;
+  kn_gpus : int;
+  kn_overlap : bool;
+  kn_cap : bool;
+  kn_faults : bool;
+  kn_autotune : bool;
+  kn_seed : int;
+}
+
+let print_knobs k =
+  Printf.sprintf "%s g=%d overlap=%b cap=%b faults=%b autotune=%b seed=%d"
+    (fst knob_apps.(k.kn_app))
+    k.kn_gpus k.kn_overlap k.kn_cap k.kn_faults k.kn_autotune k.kn_seed
+
+let gen_knobs =
+  QCheck.Gen.(
+    map
+      (fun (app, gpus, bits, seed) ->
+         {
+           kn_app = app;
+           kn_gpus = gpus;
+           kn_overlap = bits land 1 <> 0;
+           kn_cap = bits land 2 <> 0;
+           kn_faults = bits land 4 <> 0;
+           kn_autotune = bits land 8 <> 0;
+           kn_seed = seed;
+         })
+      (quad
+         (int_bound (Array.length knob_apps - 1))
+         (oneofl [ 1; 2; 4 ]) (int_bound 15) (int_bound 1_000_000)))
+
+(* Simulated time and per-device high-water mark of the plain run, per
+   (app, device count). *)
+let knob_plain = Hashtbl.create 16
+
+let run_knobs ?(plain = false) ~cache k =
+  let prog, out, cpu = (snd knob_apps.(k.kn_app)) () in
+  let plain_time, high_water =
+    if plain then (0.0, 0) else Hashtbl.find knob_plain (k.kn_app, k.kn_gpus)
+  in
+  let mem_capacity =
+    if k.kn_cap && not plain then Some (high_water * 3 / 4) else None
+  in
+  let m =
+    Gpusim.Machine.create ~functional:true
+      (Gpusim.Config.k80_box ~n_devices:k.kn_gpus ?mem_capacity ())
+  in
+  if k.kn_faults && not plain then
+    Gpusim.Machine.inject_faults m
+      (Gpusim.Faults.create
+         {
+           Gpusim.Faults.null_spec with
+           seed = k.kn_seed;
+           kernel_fault_rate = 0.02;
+           transfer_fault_rate = 0.02;
+           scheduled_losses =
+             (if k.kn_gpus > 1 then [ (k.kn_gpus - 1, 0.5 *. plain_time) ]
+              else []);
+         });
+  let r =
+    Mekong.Multi_gpu.run ~cache ~domains:1 ~checkpoint_every:3
+      ~overlap:(k.kn_overlap && not plain)
+      ~autotune:(k.kn_autotune && not plain)
+      ~machine:m (compile_exn prog).Mekong.Toolchain.exe
+  in
+  if plain then
+    Hashtbl.replace knob_plain (k.kn_app, k.kn_gpus)
+      ( r.Mekong.Multi_gpu.time,
+        List.fold_left
+          (fun acc d -> max acc (Gpusim.Machine.mem_high_water m d))
+          0
+          (List.init k.kn_gpus Fun.id) );
+  ( r.Mekong.Multi_gpu.time,
+    Array.map Int64.bits_of_float out = Array.map Int64.bits_of_float (cpu ()) )
+
+let refused = function
+  | Failure msg ->
+    let has sub =
+      let n = String.length sub in
+      let rec go i =
+        i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
+      in
+      go 0
+    in
+    has "cannot be chunked" || has "is infeasible"
+  | _ -> false
+
+let prop_knob_combinations =
+  QCheck.Test.make ~name:"knob combinations: golden, cache-invariant"
+    ~count:60
+    (QCheck.make ~print:print_knobs gen_knobs)
+    (fun k ->
+      if not (Hashtbl.mem knob_plain (k.kn_app, k.kn_gpus)) then
+        ignore (run_knobs ~plain:true ~cache:true k);
+      match run_knobs ~cache:true k with
+      | t_on, golden_on ->
+        let t_off, golden_off = run_knobs ~cache:false k in
+        golden_on && golden_off && t_on = t_off
+      | exception e when k.kn_cap && refused e -> true)
+
 (* ---------------- Toolchain ---------------- *)
 
 let test_toolchain_artifacts () =
@@ -774,6 +894,38 @@ let test_cache_stats () =
   checki "one miss" 1 res.Mekong.Multi_gpu.cache.Mekong.Launch_cache.misses;
   checki "five hits" 5 res.Mekong.Multi_gpu.cache.Mekong.Launch_cache.hits;
   checkb "still golden" true (out = cpu ())
+
+(* A permanent device loss drops every plan but not the counters: after
+   a replay, hits + misses still count every host launch issued, the
+   ones before the loss included (one plan build per generation). *)
+let test_cache_stats_across_loss () =
+  let mk () = Apps.Workloads.functional_hotspot ~n:64 ~iterations:6 in
+  let machine () =
+    Gpusim.Machine.create ~functional:true
+      (Gpusim.Config.k80_box ~n_devices:4 ())
+  in
+  let prog0, _, _ = mk () in
+  let r0 =
+    Mekong.Multi_gpu.run ~machine:(machine ()) (compile_exn prog0).Mekong.Toolchain.exe
+  in
+  let c0 = r0.Mekong.Multi_gpu.cache in
+  let prog, out, cpu = mk () in
+  let m = machine () in
+  Gpusim.Machine.inject_faults m
+    (Gpusim.Faults.create
+       {
+         Gpusim.Faults.null_spec with
+         scheduled_losses = [ (3, r0.Mekong.Multi_gpu.time /. 2.0) ];
+       });
+  let r = Mekong.Multi_gpu.run ~machine:m (compile_exn prog).Mekong.Toolchain.exe in
+  let c = r.Mekong.Multi_gpu.cache in
+  checkb "still golden" true (out = cpu ());
+  checkb "replayed" true
+    (r.Mekong.Multi_gpu.faults.Mekong.Multi_gpu.fr_replays >= 1);
+  checki "one build per cache generation" 2 c.Mekong.Launch_cache.misses;
+  checkb "every issued launch counted" true
+    (c.Mekong.Launch_cache.hits + c.Mekong.Launch_cache.misses
+     > c0.Mekong.Launch_cache.hits + c0.Mekong.Launch_cache.misses)
 
 let prop_random_kernels_golden =
   QCheck.Test.make ~name:"random affine kernels: multi-GPU == single-GPU"
@@ -1365,10 +1517,13 @@ let () =
              Alcotest.test_case "spmv analysis" `Quick test_spmv_analysis;
              Alcotest.test_case "spmv golden" `Quick test_spmv_golden;
            ] );
+         ("knobs", [ qtest prop_knob_combinations ]);
          ( "plan-cache",
            [
              qtest prop_cache_equivalence;
              Alcotest.test_case "hit/miss stats" `Quick test_cache_stats;
+             Alcotest.test_case "stats survive a device loss" `Quick
+               test_cache_stats_across_loss;
            ] );
          ( "instrumentation",
            [
